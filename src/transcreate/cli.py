@@ -364,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="balanced two-group split by TOEFL score")
     p.add_argument("--records", required=True, help="student records JSON")
     p.add_argument("--group-size", dest="group_size", type=int, required=True)
-    p.add_argument("--heuristic", action="store_true", help="allow the swap search")
+    p.add_argument(
+        "--heuristic", action="store_true",
+        help="allow the seeded swap search for group sizes above 16 (the exact limit)",
+    )
     p.add_argument("--seed", type=int, help="seed for the heuristic search")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_split)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from decimal import Decimal
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -24,7 +25,7 @@ IMMS_SUBSCALES = ("Attention", "Relevance", "Confidence", "Satisfaction")
 
 WILCOXON_EXACT_LIMIT = 20  # max nonzero differences for enumeration
 MANNWHITNEY_EXACT_LIMIT = 20  # max pooled sample size for enumeration
-SPLIT_EXACT_LIMIT = 12  # max group size for exhaustive search
+SPLIT_EXACT_LIMIT = 16  # max group size for the exact split
 
 
 class AllZeroDifferencesError(ValidationError):
@@ -157,18 +158,56 @@ def _as_scored(students: Iterable[Any]) -> list[tuple[str, float]]:
     return scored
 
 
-def _partition_key(
-    a_idx: Sequence[int], scores: Sequence[float], total: float, k: int
-) -> tuple[float, float]:
-    sum_a = sum(scores[i] for i in a_idx)
-    gap = abs(2 * sum_a - total) / k
-    mean_a = sum_a / k
-    mean_b = (total - sum_a) / k
-    var_a = sum((scores[i] - mean_a) ** 2 for i in a_idx) / k
-    ssq_b = sum(s * s for s in scores) - sum(scores[i] ** 2 for i in a_idx)
-    var_b = ssq_b / k - mean_b**2
-    std_gap = abs(math.sqrt(max(var_a, 0.0)) - math.sqrt(max(var_b, 0.0)))
-    return gap, std_gap
+def _fixed_point(scores: Sequence[float]) -> list[int]:
+    """Scores as exact integers scaled by 10**d, d the most decimal places of any.
+
+    Each float is read through its shortest repr, not its binary value, so
+    0.1 + 0.2 ties with 0.3.
+    """
+    decimals = [Decimal(repr(score)) for score in scores]
+    if not all(d.is_finite() for d in decimals):
+        raise ValueError("scores must be finite")
+    places = max(0, *(-d.as_tuple().exponent for d in decimals))
+    return [int(d.scaleb(places)) for d in decimals]
+
+
+def _split_key(a_idx: Iterable[int], ints: Sequence[int], k: int) -> tuple[int, int]:
+    """Exact (gap, std gap) order key of group A over fixed-point scores.
+
+    With S, Q the sum and sum of squares of group A and T, Q_all those of
+    everyone, the key is (|2S - T|, |A - B|), A = k Q - S^2 and
+    B = k (Q_all - Q) - (T - S)^2. Within one gap class A + B is constant,
+    so |A - B| orders |std_A - std_B| exactly.
+    """
+    total = sum(ints)
+    sum_a = sum_sq = 0
+    for i in a_idx:
+        sum_a += ints[i]
+        sum_sq += ints[i] * ints[i]
+    var_a = k * sum_sq - sum_a * sum_a
+    var_b = k * (sum(x * x for x in ints) - sum_sq) - (total - sum_a) ** 2
+    return abs(2 * sum_a - total), abs(var_a - var_b)
+
+
+def _mean_gap(a_idx: Sequence[int], scores: Sequence[float], k: int) -> float:
+    return abs(2 * sum(scores[i] for i in sorted(a_idx)) - sum(scores)) / k
+
+
+def _half_subsets(values: Sequence[int], bits: Sequence[int]) -> dict[tuple[int, int, int], int]:
+    """(size, sum, sum of squares) -> the largest mask among subsets of one half."""
+    table = {(0, 0, 0): 0}
+    for x, bit in zip(values, bits):
+        for (size, s, q), mask in list(table.items()):
+            key = (size + 1, s + x, q + x * x)
+            if table.get(key, -1) < mask | bit:
+                table[key] = mask | bit
+    return table
+
+
+def _nearest(sorted_values: Sequence[int], target: int, scale: int) -> Sequence[int]:
+    """The closest values v below and at-or-above target / scale."""
+    pos = bisect_left(sorted_values, -(-target // scale))
+    return sorted_values[max(pos - 1, 0) : pos + 1]
 
 
 def balanced_split(
@@ -180,10 +219,13 @@ def balanced_split(
 ) -> SplitResult:
     """Split 2k students into two groups of k with minimal TOEFL mean gap.
 
-    Exhaustive over all C(2k, k) partitions for k <= 12; ties break on the
-    smaller |std_A - std_B|, then the lexicographically smallest id set in
-    group A. The result does not depend on input order. Beyond k = 12 pass
-    ``allow_heuristic=True`` for a seeded swap search.
+    Exact for k <= 16: ties break on the smaller |std_A - std_B| (population
+    std), then the lexicographically smallest id set in group A. Scores are
+    compared as exact fixed-point decimals (``repr`` of each float), so ties
+    are exact. The search is a meet-in-the-middle over half-subsets indexed
+    by (size, sum) (Horowitz & Sahni, JACM 1974), not an enumeration of all
+    C(2k, k) partitions. The result does not depend on input order. Beyond
+    k = 16 pass ``allow_heuristic=True`` for a seeded swap search.
     """
     scored = sorted(_as_scored(students))  # canonical order by id
     if len(scored) != 2 * group_size:
@@ -192,7 +234,7 @@ def balanced_split(
         raise ValueError("group_size must be >= 1")
     ids = [sid for sid, _ in scored]
     scores = [score for _, score in scored]
-    total = sum(scores)
+    ints = _fixed_point(scores)
     k = group_size
 
     if group_size > SPLIT_EXACT_LIMIT:
@@ -201,36 +243,85 @@ def balanced_split(
                 f"group_size {group_size} exceeds the exact bound {SPLIT_EXACT_LIMIT}; "
                 "pass allow_heuristic=True for a greedy swap search"
             )
-        return _heuristic_split(ids, scores, k, rng_seed)
+        return _heuristic_split(ids, scores, ints, k, rng_seed)
 
-    best_key: tuple[float, float, tuple[str, ...]] | None = None
-    best_idx: tuple[int, ...] | None = None
-    # The lexicographic tie-break puts the smallest id in group A, so only
-    # subsets containing index 0 need considering.
-    for rest in combinations(range(1, 2 * k), k - 1):
-        a_idx = (0,) + rest
-        gap, std_gap = _partition_key(a_idx, scores, total, k)
-        key = (gap, std_gap, tuple(ids[i] for i in a_idx))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = a_idx
-    assert best_idx is not None and best_key is not None
-    group_a = frozenset(ids[i] for i in best_idx)
+    a_idx = _exact_split(ints, k)
+    group_a = frozenset(ids[i] for i in a_idx)
     return SplitResult(
         group_a=group_a,
         group_b=frozenset(ids) - group_a,
-        mean_gap=best_key[0],
+        mean_gap=_mean_gap(a_idx, scores, k),
     )
 
 
+def _exact_split(ints: Sequence[int], k: int) -> list[int]:
+    """Indices of group A minimising the exact key (gap, std gap, ids).
+
+    The lexicographic tie-break puts index 0 in group A, so A is index 0 plus
+    k - 1 of the rest. Index i maps to bit n-1-i of a mask; among sets of
+    one size the lexicographically smallest has the largest mask, so each
+    half keeps one mask per (size, sum, sum of squares).
+    """
+    n = 2 * k
+    total = sum(ints)
+    total_sq = sum(x * x for x in ints)
+    x0 = ints[0]
+    half = (n - 1) // 2
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    left = _half_subsets(ints[1 : half + 1], bits[1 : half + 1])
+    right = _half_subsets(ints[half + 1 :], bits[half + 1 :])
+
+    left_by_sum: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (size, s, q), mask in left.items():
+        left_by_sum.setdefault((size, s), []).append((q, mask))
+    right_sqs: dict[tuple[int, int], list[int]] = {}
+    for size, s, q in right:
+        right_sqs.setdefault((size, s), []).append(q)
+    for qs in right_sqs.values():
+        qs.sort()
+    sorted_sums: dict[int, list[int]] = {}
+    for size, s in sorted(right_sqs):
+        sorted_sums.setdefault(size, []).append(s)
+
+    # 1. The minimum gap |2 S_A - T|, and the (left, right) sum pairs at it.
+    best_gap = None
+    at_gap: list[tuple[int, int, int, int]] = []
+    for size, s in left_by_sum:
+        rsize = k - 1 - size
+        if rsize not in sorted_sums:
+            continue
+        for r in _nearest(sorted_sums[rsize], total - 2 * (x0 + s), 2):
+            gap = abs(2 * (x0 + s + r) - total)
+            if best_gap is None or gap < best_gap:
+                best_gap, at_gap = gap, []
+            if gap == best_gap:
+                at_gap.append((size, s, rsize, r))
+
+    # 2-3. Within that gap class |A - B| = |2k Q_A - c| for a constant c per
+    # S_A: find its minimum over sorted right sums of squares, then the
+    # largest mask among the exact ties.
+    best: tuple[int, int] | None = None
+    for size, s, rsize, r in at_gap:
+        sum_a = x0 + s + r
+        c = k * total_sq + sum_a * sum_a - (total - sum_a) ** 2 - 2 * k * x0 * x0
+        for q_left, mask in left_by_sum[size, s]:
+            target = c - 2 * k * q_left
+            for q_right in _nearest(right_sqs[rsize, r], target, 2 * k):
+                key = (abs(2 * k * q_right - target),
+                       -(bits[0] | mask | right[rsize, r, q_right]))
+                if best is None or key < best:
+                    best = key
+    assert best is not None
+    return [i for i in range(n) if -best[1] & bits[i]]
+
+
 def _heuristic_split(
-    ids: Sequence[str], scores: Sequence[float], k: int, rng_seed: int
+    ids: Sequence[str], scores: Sequence[float], ints: Sequence[int], k: int, rng_seed: int
 ) -> SplitResult:
-    """Seeded multi-restart pairwise-swap descent on (gap, std gap)."""
-    total = sum(scores)
+    """Seeded multi-restart pairwise-swap descent on the exact (gap, std gap) key."""
     rng = random.Random(rng_seed)
     indices = list(range(len(ids)))
-    best_key: tuple[float, float, tuple[str, ...]] | None = None
+    best_key: tuple[int, int, tuple[str, ...]] | None = None
     best_a: list[int] | None = None
     for _ in range(20):
         rng.shuffle(indices)
@@ -239,11 +330,11 @@ def _heuristic_split(
         improved = True
         while improved:
             improved = False
-            current = _partition_key(a_set, scores, total, k)
+            current = _split_key(a_set, ints, k)
             for i in range(k):
                 for j in range(k):
                     candidate = sorted(a_set[:i] + a_set[i + 1 :] + [b_set[j]])
-                    cand_key = _partition_key(candidate, scores, total, k)
+                    cand_key = _split_key(candidate, ints, k)
                     if cand_key < current:
                         b_set = sorted(b_set[:j] + b_set[j + 1 :] + [a_set[i]])
                         a_set = candidate
@@ -252,22 +343,19 @@ def _heuristic_split(
                         break
                 if improved:
                     break
-        gap, std_gap = _partition_key(a_set, scores, total, k)
         # Canonical labeling: group A holds the lexicographically smaller ids.
-        a_ids = tuple(sorted(ids[i] for i in a_set))
-        b_ids = tuple(sorted(ids[i] for i in b_set))
-        if b_ids < a_ids:
-            a_ids, b_ids = b_ids, a_ids
-        key = (gap, std_gap, a_ids)
+        if ids[b_set[0]] < ids[a_set[0]]:
+            a_set, b_set = b_set, a_set
+        key = (*_split_key(a_set, ints, k), tuple(ids[i] for i in a_set))
         if best_key is None or key < best_key:
             best_key = key
-            best_a = [i for i in range(len(ids)) if ids[i] in set(a_ids)]
-    assert best_a is not None and best_key is not None
+            best_a = a_set
+    assert best_a is not None
     group_a = frozenset(ids[i] for i in best_a)
     return SplitResult(
         group_a=group_a,
         group_b=frozenset(ids) - group_a,
-        mean_gap=best_key[0],
+        mean_gap=_mean_gap(best_a, scores, k),
     )
 
 

@@ -55,6 +55,15 @@ class ConcurrentReviewError(ValidationError):
     pass
 
 
+class FlaggedQuestionError(ValidationError):
+    def __init__(self, record_id: str, flagged: Sequence[int], n_questions: int):
+        super().__init__(
+            f"entry {record_id!r} flags questions {list(flagged)}: need distinct "
+            f"indices in 0..{n_questions - 1}"
+        )
+        self.record_id = record_id
+
+
 class IncompleteRecordError(ValidationError):
     def __init__(self, record_id: str, reason: str):
         super().__init__(f"record {record_id} is not complete: {reason}")
@@ -282,6 +291,23 @@ class ReviewDecision:
         )
 
 
+def parse_question_numbers(text: str, n_questions: int) -> tuple[int, ...]:
+    """Comma-separated 1-based question numbers as sorted, distinct 0-based indices."""
+    numbers = set()
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            number = int(token)
+        except ValueError:
+            raise ValueError(f"{token!r} is not a question number") from None
+        if not 1 <= number <= n_questions:
+            raise ValueError(f"question {number} is not in 1..{n_questions}")
+        numbers.add(number - 1)
+    return tuple(sorted(numbers))
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -310,13 +336,24 @@ class QueueEntry:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueueEntry":
         decision = data.get("decision")
-        return cls(
+        entry = cls(
             record_id=data["record_id"],
             passage=data["passage"],
             questions=list(data["questions"]),
             original_passage=data["original_passage"],
             decision=ReviewDecision.from_dict(decision) if decision else None,
         )
+        if entry.decision is not None:
+            entry.check_flags(entry.decision)
+        return entry
+
+    def check_flags(self, decision: ReviewDecision) -> None:
+        """Flagged questions must be distinct indices into this entry's questions."""
+        flagged = decision.unanswerable_questions
+        if len(set(flagged)) != len(flagged) or not all(
+            isinstance(i, int) and 0 <= i < len(self.questions) for i in flagged
+        ):
+            raise FlaggedQuestionError(self.record_id, flagged, len(self.questions))
 
 
 class ReviewQueue:
@@ -391,6 +428,7 @@ class ReviewQueue:
             raise UnknownItemError(decision.item_id)
         if not entry.pending:
             raise AlreadyDecidedError(decision.item_id)
+        entry.check_flags(decision)
         if decision.verdict == "edit":
             old_words = len(tokenize_words(entry.passage))
             new_words = len(tokenize_words(decision.new_passage))
@@ -573,16 +611,13 @@ def run_review_session(
             verdict = "reject"
         else:
             verdict = "accept"
-        flagged_raw = ask("Unanswerable question numbers (comma-separated, blank for none): ")
-        flagged: tuple[int, ...] = ()
-        if flagged_raw:
+        while True:
+            flagged_raw = ask("Unanswerable question numbers (comma-separated, blank for none): ")
             try:
-                flagged = tuple(
-                    int(token.strip()) - 1 for token in flagged_raw.split(",") if token.strip()
-                )
-            except ValueError:
-                say("could not parse question numbers; recording none")
-                flagged = ()
+                flagged = parse_question_numbers(flagged_raw or "", len(entry.questions))
+                break
+            except ValueError as exc:
+                say(f"{exc}; try again")
         decision = ReviewDecision(
             item_id=entry.record_id,
             verdict=verdict,

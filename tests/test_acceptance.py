@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
@@ -20,7 +19,12 @@ from conftest import (
     mock_gateway,
     tagged_reply,
 )
-from test_stats import experiment_fixture, oracle_mannwhitney, oracle_wilcoxon
+from test_stats import (
+    experiment_fixture,
+    oracle_mannwhitney,
+    oracle_min_gap,
+    oracle_wilcoxon,
+)
 from transcreate import cli
 from transcreate.corpus import ReadingItem, save_items
 from transcreate.pipeline import (
@@ -265,18 +269,13 @@ def test_07_cohen_kappa_constructed_matrices():
 
 
 def test_08_balanced_split_vs_brute_force():
-    with criterion(8, "balanced_split == brute force over C(20,10), 25 instances", 60.0):
+    with criterion(8, "balanced_split == exact subset-sum oracle at k=10, 25 instances", 60.0):
         rng = random.Random(6003)
         for _ in range(25):
             scores = [round(rng.uniform(60, 115), 2) for _ in range(20)]
             students = [(f"s{i:02}", score) for i, score in enumerate(scores)]
             result = balanced_split(students, 10)
-            total = sum(scores)
-            best = min(
-                abs(2 * sum(scores[i] for i in combo) - total) / 10
-                for combo in itertools.combinations(range(20), 10)
-            )
-            assert result.mean_gap == pytest.approx(best, abs=1e-12)
+            assert result.mean_gap == pytest.approx(oracle_min_gap(scores, 10), abs=1e-12)
 
 
 def test_09_end_to_end_mock_run(taxonomy, tagset, fixture_items, fixture_profile):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -228,6 +230,61 @@ class TestMannWhitney:
         assert 0 < result.p_value <= 1
 
 
+def scaled_ints(scores, scale=100):
+    """Scores with at most log10(scale) decimals as exact integers."""
+    ints = [Fraction(str(score)) * scale for score in scores]
+    assert all(x.denominator == 1 for x in ints)
+    return [int(x) for x in ints]
+
+
+def oracle_split(students, k):
+    """Exact brute force over all C(2k, k) partitions.
+
+    Key: (mean gap, |std_A - std_B| with population stds, sorted ids of A).
+    Gaps are exact fractions; stds are square roots of exact integer
+    variances (scaled by (100 k)^2) to 80 digits, so equal values compare equal.
+    """
+    ordered = sorted(students)
+    ids = [sid for sid, _ in ordered]
+    ints = scaled_ints([score for _, score in ordered])
+    total = sum(ints)
+
+    def std_scaled(group):
+        values = [ints[i] for i in group]
+        with localcontext() as ctx:
+            ctx.prec = 80
+            return Decimal(k * sum(v * v for v in values) - sum(values) ** 2).sqrt()
+
+    best = None
+    for a_idx in itertools.combinations(range(2 * k), k):
+        b_idx = [i for i in range(2 * k) if i not in a_idx]
+        gap = Fraction(abs(2 * sum(ints[i] for i in a_idx) - total), 100 * k)
+        key = (gap, abs(std_scaled(a_idx) - std_scaled(b_idx)), tuple(ids[i] for i in a_idx))
+        if best is None or key < best:
+            best = key
+    return frozenset(best[2])
+
+
+def oracle_min_gap(scores, k):
+    """Minimal mean gap from every (size, sum) reachable over scores * 100.
+
+    reach[size] is a bitset whose bit s is set when some subset of that size
+    sums to s.
+    """
+    ints = scaled_ints(scores)
+    total = sum(ints)
+    reach = [1] + [0] * k
+    for x in ints:
+        for size in range(k - 1, -1, -1):
+            reach[size + 1] |= reach[size] << x
+    # |2s - total| = total % 2 + 2d for s = total // 2 - d and (total + 1) // 2 + d
+    for d in range(total + 1):
+        for s in (total // 2 - d, (total + 1) // 2 + d):
+            if s >= 0 and reach[k] >> s & 1:
+                return (total % 2 + 2 * d) / (100 * k)
+    raise AssertionError("no subset of size k")
+
+
 class TestBalancedSplit:
     def test_symmetric_scores(self):
         result = balanced_split(
@@ -268,16 +325,53 @@ class TestBalancedSplit:
         assert not result.group_a & result.group_b
 
     def test_too_large_without_flag(self):
-        students = [(f"s{i:02}", float(i)) for i in range(26)]
+        students = [(f"s{i:02}", float(i)) for i in range(34)]
         with pytest.raises(TooLargeError):
-            balanced_split(students, 13)
+            balanced_split(students, 17)
 
     def test_heuristic_path(self):
         rng = random.Random(3)
-        students = [(f"s{i:02}", round(rng.uniform(60, 110), 1)) for i in range(26)]
-        result = balanced_split(students, 13, allow_heuristic=True, rng_seed=1)
-        assert len(result.group_a) == 13
+        students = [(f"s{i:02}", round(rng.uniform(60, 110), 1)) for i in range(34)]
+        result = balanced_split(students, 17, allow_heuristic=True, rng_seed=1)
+        assert len(result.group_a) == 17
         assert result.mean_gap < 2.0  # the swap search gets close on smooth data
+
+    def test_exact_at_limit(self):
+        rng = random.Random(16)
+        scores = [round(rng.uniform(60, 115), 2) for _ in range(32)]
+        students = [(f"s{i:02}", score) for i, score in enumerate(scores)]
+        result = balanced_split(students, 16)
+        assert len(result.group_a) == len(result.group_b) == 16
+        assert result.group_a | result.group_b == {sid for sid, _ in students}
+        assert result.mean_gap == pytest.approx(oracle_min_gap(scores, 16), abs=1e-12)
+
+    def test_tie_break_regression(self):
+        # {s0,s3,s5} is the mirror of {s1,s2,s4}: equal gap and std gap, so
+        # the smaller id set {s0,s1,s4} wins.
+        students = [("s0", 102), ("s1", 104), ("s2", 102), ("s3", 110), ("s4", 69), ("s5", 68)]
+        assert balanced_split(students, 3).group_a == {"s0", "s1", "s4"}
+        assert oracle_split(students, 3) == {"s0", "s1", "s4"}
+
+    def test_decimal_tie_is_exact(self):
+        # {s0,s2} = 0.4 vs 0.3 and {s0,s3} = 0.1 + 0.2 vs 0.4 tie exactly, but
+        # 0.1 + 0.2 != 0.3 in binary floats; ids decide.
+        students = [("s0", 0.1), ("s1", 0.1), ("s2", 0.3), ("s3", 0.2)]
+        assert balanced_split(students, 2).group_a == {"s0", "s2"}
+        assert oracle_split(students, 2) == {"s0", "s2"}
+
+    def test_matches_exact_oracle(self):
+        rng = random.Random(2511)
+        for n in range(300):
+            k = 2 + n % 5
+            places = n % 3  # integer, 1- and 2-decimal scores
+            if places == 0:
+                scores = [rng.randint(60, 75) for _ in range(2 * k)]
+            else:
+                scores = [round(rng.uniform(60, 62), places) for _ in range(2 * k)]
+            ids = [f"s{i}" for i in range(2 * k)]
+            rng.shuffle(ids)
+            students = list(zip(ids, scores))
+            assert balanced_split(students, k).group_a == oracle_split(students, k), students
 
     def test_wrong_size(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from transcreate.validation import (
     BloomJudge,
     ConcurrentReviewError,
     EmptyVerdictSetError,
+    FlaggedQuestionError,
     IncompleteRecordError,
     JudgeVerdict,
     PendingEntriesError,
@@ -25,6 +26,7 @@ from transcreate.validation import (
     UnknownItemError,
     agreement_report,
     cohen_kappa,
+    parse_question_numbers,
     qa_report,
     run_review_session,
 )
@@ -231,6 +233,25 @@ class TestReviewQueue:
             rid: e.to_dict() for rid, e in queue.entries.items()
         }
 
+    @pytest.mark.parametrize("flags", [(5,), (-1,), (0, 0), (1, 1, 1)])
+    def test_bad_flags_rejected(self, tmp_path, flags):
+        # these entries have five questions: valid indices are 0..4
+        queue = ReviewQueue.open_new(self.records(1), tmp_path / "q.json")
+        with pytest.raises(FlaggedQuestionError):
+            queue.apply(self.decision("r1", unanswerable_questions=flags))
+        assert queue.pending() and queue.log == []
+
+    def test_load_rejects_bad_flags(self, tmp_path):
+        path = tmp_path / "q.json"
+        queue = ReviewQueue.open_new(self.records(1), path)
+        queue.apply(self.decision("r1", unanswerable_questions=(1,)))
+        queue.save()
+        data = json.loads(path.read_text())
+        data["entries"][0]["decision"]["unanswerable_questions"] = [0, 0, 0, 8]
+        path.write_text(json.dumps(data))
+        with pytest.raises(FlaggedQuestionError):
+            ReviewQueue.load(path)
+
     def test_lock_excludes_second_session(self, tmp_path):
         path = tmp_path / "q.json"
         with QueueLock(path):
@@ -333,6 +354,25 @@ class TestInteractiveSession:
         decided = run_review_session(queue, "expert-1", stdin, io.StringIO())
         assert decided == 1
         assert len(queue.pending()) == 1
+
+    def test_bad_flags_are_asked_again(self, tmp_path):
+        queue = ReviewQueue.open_new([complete_record("r1", 2)], tmp_path / "q.json")
+        stdin = io.StringIO("a\n1,1,1,9,0\nx\n2, 1,2\n")
+        stdout = io.StringIO()
+        run_review_session(queue, "expert-1", stdin, stdout)
+        assert queue.entries["r1"].decision.unanswerable_questions == (0, 1)
+        assert "question 9 is not in 1..2" in stdout.getvalue()
+        assert "'x' is not a question number" in stdout.getvalue()
+        report = qa_report(queue)
+        assert report.flagged_unanswerable == 2
+        assert report.rendered_rate() == "100.0%"
+
+    def test_parse_question_numbers(self):
+        assert parse_question_numbers("", 3) == ()
+        assert parse_question_numbers(" 3, 1,,3 ", 3) == (0, 2)
+        for bad in ("0", "4", "1;2", "-1"):
+            with pytest.raises(ValueError):
+                parse_question_numbers(bad, 3)
 
     def test_reject_records_reason(self, tmp_path):
         records = [complete_record("r1", 2)]
