@@ -16,7 +16,7 @@ from typing import Any, Sequence
 from . import corpus, pipeline, stats, textmetrics, validation
 from .errors import GatewayError, TranscreateError, ValidationError
 from .fileio import atomic_write_text, read_json, write_json
-from .gateway import Gateway, HttpBackend, MockBackend, ProviderConfig
+from .gateway import DEFAULT_BACKOFF_BASE_S, Gateway, HttpBackend, MockBackend, ProviderConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,21 +54,11 @@ class RunConfig:
             raw = read_json(config_path)
             provider_settings.update(raw.pop("provider", {}))
             settings.update(raw)
-        for name in (
-            "taxonomy_path",
-            "tagset_path",
-            "prompts_dir",
-            "rng_seed",
-            "retry_budget",
-            "length_envelope",
-            "alpha",
-            "mock_script_path",
-            "request_log",
-        ):
+        known = set(cls.__dataclass_fields__) - {"provider"}
+        for name in known:
             value = getattr(args, name, None)
             if value is not None:
                 settings[name] = value
-        known = set(cls.__dataclass_fields__) - {"provider"}
         unknown = set(settings) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -79,21 +69,13 @@ class RunConfig:
         return cls(provider=provider, **settings)
 
     def build_gateway(self) -> Gateway:
-        if self.mock_script_path:
-            backend = MockBackend.from_file(self.mock_script_path)
-            # No live transport behind the mock, so no backoff sleeps either.
-            return Gateway(
-                backend,
-                max_retries=self.provider.max_retries,
-                max_in_flight=self.provider.max_in_flight,
-                backoff_base_s=0.0,
-                log_path=self.request_log,
-                rng_seed=self.rng_seed,
-            )
+        mock = self.mock_script_path
         return Gateway(
-            HttpBackend(self.provider),
+            MockBackend.from_file(mock) if mock else HttpBackend(self.provider),
             max_retries=self.provider.max_retries,
             max_in_flight=self.provider.max_in_flight,
+            # No live transport behind the mock, so no backoff sleeps either.
+            backoff_base_s=0.0 if mock else DEFAULT_BACKOFF_BASE_S,
             log_path=self.request_log,
             rng_seed=self.rng_seed,
         )

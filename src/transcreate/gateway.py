@@ -26,6 +26,7 @@ from .errors import GatewayError, ValidationError
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 DEFAULT_API_KEY_ENV = "TRANSCREATE_API_KEY"
+DEFAULT_BACKOFF_BASE_S = 1.0
 
 # HTTP statuses worth retrying.
 _TRANSIENT_STATUSES = frozenset([408, 409, 429, 500, 502, 503, 504])
@@ -282,7 +283,7 @@ class Gateway:
         *,
         max_retries: int = 3,
         max_in_flight: int = 4,
-        backoff_base_s: float = 1.0,
+        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
         log_path: str | Path | None = None,
         rng_seed: int = 0,
     ):
@@ -294,12 +295,6 @@ class Gateway:
         self._rng = random.Random(rng_seed)
         self._rng_lock = threading.Lock()
         self._log_lock = threading.Lock()
-
-    @classmethod
-    def for_provider(cls, config: ProviderConfig, **kwargs: Any) -> "Gateway":
-        kwargs.setdefault("max_retries", config.max_retries)
-        kwargs.setdefault("max_in_flight", config.max_in_flight)
-        return cls(HttpBackend(config), **kwargs)
 
     def _backoff(self, attempt: int) -> float:
         with self._rng_lock:

@@ -209,6 +209,60 @@ class Exchange:
         return cls(data["system"], data["user"], data["response"], data["attempts"])
 
 
+STEP_RETRY_LINE = "Reply again following the required format exactly."
+
+
+def format_options(question: Question) -> str:
+    """The question's options as ``A. ...`` lines, as the step 2 and judge prompts show them."""
+    return "\n".join(f"{letter}. {opt}" for letter, opt in zip("ABCD", question.options))
+
+
+def parse_bloom_reply(reply: str) -> BloomLevel:
+    """The Bloom level a reply names, or :class:`InvalidBloomReplyError`."""
+    try:
+        return BloomLevel.parse(reply)
+    except ValueError as exc:
+        raise InvalidBloomReplyError(str(exc)) from exc
+
+
+def ask_validated(
+    gateway: Gateway,
+    template: PromptTemplate,
+    bindings: Mapping[str, str],
+    parse: Callable[[str], Any],
+    exchanges: list[Exchange] | None,
+    *,
+    step: str,
+    retry_budget: int,
+    temperature: float,
+    seed: int | None,
+    retry_line: str,
+) -> Any:
+    """Prompt, parse, and retry with a corrective instruction on violations.
+
+    Each round is appended to ``exchanges``. A rejected reply is followed by
+    the original prompt plus the rejection reason and ``retry_line``; after
+    ``retry_budget`` rejected retries the last :class:`ValidationError` is
+    raised. Gateway errors propagate unchanged.
+    """
+    system, user = render_template(template, bindings)
+    corrective = user
+    last_error: ValidationError | None = None
+    for _ in range(retry_budget + 1):
+        request = CompletionRequest(system=system, user=corrective,
+                                    temperature=temperature, seed=seed)
+        result = gateway.complete_ex(request, step=step)
+        if exchanges is not None:
+            exchanges.append(Exchange(system, corrective, result.text, result.attempts))
+        try:
+            return parse(result.text)
+        except ValidationError as exc:
+            last_error = exc
+            corrective = f"{user}\n\nYour previous reply was rejected: {exc}\n{retry_line}"
+    assert last_error is not None
+    raise last_error
+
+
 @dataclass(frozen=True)
 class RecordStatus:
     state: str  # "complete" | "failed"
@@ -384,8 +438,6 @@ class TranscreationPipeline:
         if missing:
             raise ValidationError(f"missing prompt templates: {', '.join(missing)}")
 
-    # -- generic validated ask ------------------------------------------------
-
     def _ask(
         self,
         step_name: str,
@@ -393,40 +445,11 @@ class TranscreationPipeline:
         parse: Callable[[str], Any],
         exchanges: list[Exchange] | None,
     ) -> Any:
-        """Prompt, parse, and retry with a corrective instruction on violations."""
-        template = self.templates[step_name]
-        system, user = render_template(template, bindings)
-        corrective = user
-        last_error: ValidationError | None = None
-        for _ in range(self.retry_budget + 1):
-            request = CompletionRequest(
-                system=system,
-                user=corrective,
-                temperature=self.temperature,
-                seed=self.seed,
-            )
-            result = self.gateway.complete_ex(request, step=step_name)
-            if exchanges is not None:
-                exchanges.append(
-                    Exchange(
-                        system=system,
-                        user=corrective,
-                        response=result.text,
-                        attempts=result.attempts,
-                    )
-                )
-            try:
-                return parse(result.text)
-            except ValidationError as exc:
-                last_error = exc
-                corrective = (
-                    user
-                    + "\n\nYour previous reply was rejected: "
-                    + str(exc)
-                    + "\nReply again following the required format exactly."
-                )
-        assert last_error is not None
-        raise last_error
+        return ask_validated(
+            self.gateway, self.templates[step_name], bindings, parse, exchanges,
+            step=step_name, retry_budget=self.retry_budget, temperature=self.temperature,
+            seed=self.seed, retry_line=STEP_RETRY_LINE,
+        )
 
     # -- steps ----------------------------------------------------------------
 
@@ -455,20 +478,10 @@ class TranscreationPipeline:
         self, question: Question, exchanges: list[Exchange] | None = None
     ) -> BloomLevel:
         """Step 2: label one question with its cognitive level."""
-        options = "\n".join(
-            f"{letter}. {opt}" for letter, opt in zip("ABCD", question.options)
-        )
-
-        def parse(reply: str) -> BloomLevel:
-            try:
-                return BloomLevel.parse(reply)
-            except ValueError as exc:
-                raise InvalidBloomReplyError(str(exc)) from exc
-
         return self._ask(
             "classify_question",
-            {"stem": question.stem, "options": options},
-            parse,
+            {"stem": question.stem, "options": format_options(question)},
+            parse_bloom_reply,
             exchanges,
         )
 

@@ -17,12 +17,20 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 from .corpus import BloomLevel
 from .errors import ValidationError
 from .fileio import read_json, write_json
-from .gateway import CompletionRequest, Gateway, PromptTemplate, render_template
-from .pipeline import Exchange, TranscreationRecord
+from .gateway import Gateway, PromptTemplate
+from .pipeline import (
+    Exchange,
+    TranscreationRecord,
+    ask_validated,
+    format_options,
+    parse_bloom_reply,
+)
 from .textmetrics import tokenize_words
 
 BLOOM_ORDER = tuple(BloomLevel)
 _BLOOM_INDEX = {level: idx for idx, level in enumerate(BLOOM_ORDER)}
+
+JUDGE_RETRY_LINE = "Reply with exactly one of the six level names."
 
 
 class EmptyVerdictSetError(ValidationError):
@@ -111,53 +119,20 @@ class BloomJudge:
         self, record: TranscreationRecord, exchanges: list[Exchange] | None = None
     ) -> list[JudgeVerdict]:
         """One verdict per transcreated question, in question order."""
-        from .pipeline import InvalidBloomReplyError
-
         if not record.status.is_complete:
             raise IncompleteRecordError(record.record_id, record.status.reason or "failed")
         if any(q.bloom is None for q in record.transcreated_questions):
             raise IncompleteRecordError(record.record_id, "question missing its source level")
         verdicts = []
         for idx, question in enumerate(record.transcreated_questions):
-            options = "\n".join(
-                f"{letter}. {opt}" for letter, opt in zip("ABCD", question.options)
+            judged = ask_validated(
+                self.gateway, self.template,
+                {"passage": record.transcreated_passage, "stem": question.stem,
+                 "options": format_options(question)},
+                parse_bloom_reply, exchanges,
+                step="judge_bloom", retry_budget=self.retry_budget,
+                temperature=self.temperature, seed=self.seed, retry_line=JUDGE_RETRY_LINE,
             )
-            system, user = render_template(
-                self.template,
-                {
-                    "passage": record.transcreated_passage,
-                    "stem": question.stem,
-                    "options": options,
-                },
-            )
-            prompt_user = user
-            last_error: ValidationError | None = None
-            judged: BloomLevel | None = None
-            for _ in range(self.retry_budget + 1):
-                request = CompletionRequest(
-                    system=system, user=prompt_user,
-                    temperature=self.temperature, seed=self.seed,
-                )
-                result = self.gateway.complete_ex(request, step="judge_bloom")
-                if exchanges is not None:
-                    exchanges.append(
-                        Exchange(system=system, user=prompt_user,
-                                 response=result.text, attempts=result.attempts)
-                    )
-                try:
-                    judged = BloomLevel.parse(result.text)
-                    break
-                except ValueError as exc:
-                    last_error = InvalidBloomReplyError(str(exc))
-                    prompt_user = (
-                        user
-                        + "\n\nYour previous reply was rejected: "
-                        + str(exc)
-                        + "\nReply with exactly one of the six level names."
-                    )
-            if judged is None:
-                assert last_error is not None
-                raise last_error
             verdicts.append(
                 JudgeVerdict(
                     item_id=record.record_id,

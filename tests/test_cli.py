@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import build_mock_script, make_question
+from conftest import BLOOM_CYCLE, build_mock_script, make_question
 from transcreate import cli
 from transcreate.corpus import ReadingItem, save_items
 from transcreate.pipeline import load_records
@@ -296,3 +296,46 @@ class TestConfigPrecedence:
         config_path.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         argv = transcreate_argv(workdir) + ["--config", config_path]
         assert run(argv) == 3
+
+
+class TestGoldenDigests:
+    """Mock outputs are pinned byte for byte: records, judge JSON, request log."""
+
+    RECORDS_SHA256 = "2206976f07fc6fb6da4e0c361713eb5b7718b89d913eb94efe7bb5c433ec9929"
+    JUDGE_SHA256 = "4a1a601d91d4b77bdeb339b8b6770691f6eb5af3af60e3e31bfc23d4bee4133f"
+    LOG_SHA256 = "fac898253c0a2487e018de29ff5a3d0ccc838965a8eb36a7c93a6b0696f0d4c2"
+
+    def test_transcreate_then_judge(self, workdir, fixture_items, fixture_profile):
+        import hashlib
+
+        profiles = json.loads((workdir / "profiles.json").read_text(encoding="utf-8"))
+        profiles.append(dict(profiles[0], student_id="s2",
+                             top_interests=["9.a", "4.b", "6.c", "2.a"]))
+        (workdir / "profiles.json").write_text(json.dumps(profiles), encoding="utf-8")
+        script = build_mock_script(fixture_items, repeats=2)
+        # One rejected reply each at steps 2 and 4 and in the judge, so the
+        # corrective prompts are part of what is pinned.
+        script["classify_question"].insert(0, "Comprehend")
+        script["transcreate_passage"].insert(0, "A reply without its tags.")
+        (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        judge_replies = ["Comprehend"] + BLOOM_CYCLE * 8
+        judge_replies[5] = "Create"
+        (workdir / "judge.json").write_text(
+            json.dumps({"judge_bloom": judge_replies}), encoding="utf-8")
+        log = workdir / "requests.jsonl"
+        assert run(transcreate_argv(workdir) + ["--log", log]) == 0
+        assert run(["judge", "--in", workdir / "out.jsonl", "--out", workdir / "verdicts.json",
+                    "--mock", workdir / "judge.json", "--log", log]) == 0
+
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        fields = ("step", "system", "user", "response", "attempts", "error")
+        log_lines = [
+            json.dumps([entry.get(name) for name in fields], ensure_ascii=False)
+            for entry in map(json.loads, log.read_text(encoding="utf-8").splitlines())
+        ]
+        assert len(log_lines) == 2 * 4 * (1 + 5 + 1 + 1 + 1) + 2 + 41
+        assert digest((workdir / "out.jsonl").read_bytes()) == self.RECORDS_SHA256
+        assert digest((workdir / "verdicts.json").read_bytes()) == self.JUDGE_SHA256
+        assert digest("\n".join(log_lines).encode("utf-8")) == self.LOG_SHA256

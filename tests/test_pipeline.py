@@ -200,6 +200,18 @@ class TestClassifyQuestion:
         with pytest.raises(InvalidBloomReplyError):
             pipe.classify_question(question)
 
+    def test_corrective_prompt_text(self, taxonomy, tagset):
+        pipe = make_pipeline({"classify_question": ["Comprehend", "Analyze"]}, taxonomy, tagset)
+        question = make_item("i", "One. Two.").questions[0]
+        exchanges = []
+        assert pipe.classify_question(question, exchanges) is BloomLevel.ANALYZE
+        first, retry = exchanges
+        assert retry.user == (
+            first.user
+            + "\n\nYour previous reply was rejected: not a Bloom level: 'Comprehend'"
+            + "\nReply again following the required format exactly."
+        )
+
 
 class TestTagFeatures:
     def test_well_formed_reply(self, taxonomy, tagset):

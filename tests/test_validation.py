@@ -88,8 +88,15 @@ class TestJudge:
     def test_retry_on_bad_label(self):
         record = complete_record(n_questions=1, blooms=[A])
         judge = make_judge(["Comprehend", "Analyze"])
-        verdicts = judge.judge_record(record)
+        exchanges = []
+        verdicts = judge.judge_record(record, exchanges)
         assert verdicts[0].match
+        first, retry = exchanges
+        assert retry.user == (
+            first.user
+            + "\n\nYour previous reply was rejected: not a Bloom level: 'Comprehend'"
+            + "\nReply with exactly one of the six level names."
+        )
 
     def test_rejects_incomplete_record(self):
         record = complete_record()
