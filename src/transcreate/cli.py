@@ -185,14 +185,21 @@ def cmd_judge(args: argparse.Namespace) -> int:
         seed=config.rng_seed,
     )
     verdicts: list[validation.JudgeVerdict] = []
+    failures: list[validation.JudgeFailure] = []
     for record in records:
-        verdicts.extend(judge.judge_record(record))
-    report = validation.agreement_report(verdicts)
-    payload = {
-        "verdicts": [verdict.to_dict() for verdict in verdicts],
-        "agreement": report.to_dict(),
-    }
+        verdicts.extend(judge.judge_record(record, failures=failures))
+    payload: dict[str, Any] = {"verdicts": [verdict.to_dict() for verdict in verdicts]}
+    if verdicts:
+        payload["agreement"] = validation.agreement_report(verdicts).to_dict()
+    if failures:
+        payload["failures"] = [failure.to_dict() for failure in failures]
     _emit(payload, args.out)
+    if failures:
+        for failure in failures:
+            _log(f"failed: {failure.item_id} question {failure.question_idx}: {failure.reason}")
+        if any(failure.gateway_failure for failure in failures):
+            return EXIT_GATEWAY
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

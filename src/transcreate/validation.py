@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from .corpus import BloomLevel
-from .errors import ValidationError
+from .errors import GatewayError, ValidationError
 from .fileio import read_json, write_json
 from .gateway import Gateway, PromptTemplate
 from .pipeline import (
@@ -104,6 +104,19 @@ class JudgeVerdict:
         }
 
 
+@dataclass(frozen=True)
+class JudgeFailure:
+    """A question the judge could not label: every reply was rejected, or the gateway failed."""
+
+    item_id: str
+    question_idx: int
+    reason: str
+    gateway_failure: bool = False
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"item_id": self.item_id, "question_idx": self.question_idx, "reason": self.reason}
+
+
 class BloomJudge:
     """Judges transcreated questions without seeing their source labels."""
 
@@ -116,23 +129,40 @@ class BloomJudge:
         self.seed = seed
 
     def judge_record(
-        self, record: TranscreationRecord, exchanges: list[Exchange] | None = None
+        self,
+        record: TranscreationRecord,
+        exchanges: list[Exchange] | None = None,
+        failures: list[JudgeFailure] | None = None,
     ) -> list[JudgeVerdict]:
-        """One verdict per transcreated question, in question order."""
+        """One verdict per transcreated question, in question order.
+
+        A question whose replies are all rejected, or whose gateway call
+        fails, raises; if ``failures`` is given it is appended there instead
+        and judging goes on with the next question.
+        """
         if not record.status.is_complete:
             raise IncompleteRecordError(record.record_id, record.status.reason or "failed")
         if any(q.bloom is None for q in record.transcreated_questions):
             raise IncompleteRecordError(record.record_id, "question missing its source level")
         verdicts = []
         for idx, question in enumerate(record.transcreated_questions):
-            judged = ask_validated(
-                self.gateway, self.template,
-                {"passage": record.transcreated_passage, "stem": question.stem,
-                 "options": format_options(question)},
-                parse_bloom_reply, exchanges,
-                step="judge_bloom", retry_budget=self.retry_budget,
-                temperature=self.temperature, seed=self.seed, retry_line=JUDGE_RETRY_LINE,
-            )
+            try:
+                judged = ask_validated(
+                    self.gateway, self.template,
+                    {"passage": record.transcreated_passage, "stem": question.stem,
+                     "options": format_options(question)},
+                    parse_bloom_reply, exchanges,
+                    step="judge_bloom", retry_budget=self.retry_budget,
+                    temperature=self.temperature, seed=self.seed, retry_line=JUDGE_RETRY_LINE,
+                )
+            except (GatewayError, ValidationError) as exc:
+                if failures is None:
+                    raise
+                failures.append(JudgeFailure(
+                    record.record_id, idx, f"{type(exc).__name__}: {exc}",
+                    gateway_failure=isinstance(exc, GatewayError),
+                ))
+                continue
             verdicts.append(
                 JudgeVerdict(
                     item_id=record.record_id,

@@ -132,6 +132,38 @@ class TestJudgeCommand:
         assert payload["agreement"]["n"] == 20
         assert payload["agreement"]["accuracy"] == 1.0
 
+    @pytest.mark.parametrize(
+        "bad, code, reason",
+        [("Comprehend", 3, "InvalidBloomReplyError"),
+         ({"error": "timeout"}, 4, "RetriesExhaustedError")],
+    )
+    def test_failed_question_is_recorded(self, workdir, bad, code, reason):
+        assert run(transcreate_argv(workdir)) == 0
+        replies = self.judge_script(4)["judge_bloom"]
+        replies[7:8] = [bad] * 4  # exhausts the budget on question 2 of the second record
+        script_path = workdir / "judge_script.json"
+        script_path.write_text(json.dumps({"judge_bloom": replies}), encoding="utf-8")
+        out = workdir / "verdicts.json"
+        assert run(["judge", "--in", workdir / "out.jsonl", "--mock", script_path,
+                    "--out", out]) == code
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert len(payload["verdicts"]) == 19
+        assert (payload["agreement"]["n"], payload["agreement"]["accuracy"]) == (19, 1.0)
+        [failure] = payload["failures"]
+        assert (failure["item_id"], failure["question_idx"]) == ("r2:s1", 2)
+        assert failure["reason"].startswith(reason + ": ")
+
+    def test_no_verdicts_omits_agreement(self, workdir):
+        assert run(transcreate_argv(workdir)) == 0
+        script_path = workdir / "judge_script.json"
+        script_path.write_text(json.dumps({"judge_bloom": ["Comprehend"] * 80}), encoding="utf-8")
+        out = workdir / "verdicts.json"
+        assert run(["judge", "--in", workdir / "out.jsonl", "--mock", script_path,
+                    "--out", out]) == 3
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["verdicts"] == [] and "agreement" not in payload
+        assert len(payload["failures"]) == 20
+
     def test_failed_record_exits_3(self, workdir, fixture_items, capsys):
         script = build_mock_script(fixture_items)
         script["tag_features"] = ["mangled"] * 32

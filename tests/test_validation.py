@@ -9,7 +9,12 @@ import pytest
 
 from conftest import make_question, mock_gateway
 from transcreate.corpus import BloomLevel, ReadingItem
-from transcreate.pipeline import RecordStatus, TranscreationRecord, load_templates
+from transcreate.pipeline import (
+    InvalidBloomReplyError,
+    RecordStatus,
+    TranscreationRecord,
+    load_templates,
+)
 from transcreate.validation import (
     AlreadyDecidedError,
     BloomJudge,
@@ -17,6 +22,7 @@ from transcreate.validation import (
     EmptyVerdictSetError,
     FlaggedQuestionError,
     IncompleteRecordError,
+    JudgeFailure,
     JudgeVerdict,
     PendingEntriesError,
     QueueExistsError,
@@ -97,6 +103,17 @@ class TestJudge:
             + "\n\nYour previous reply was rejected: not a Bloom level: 'Comprehend'"
             + "\nReply with exactly one of the six level names."
         )
+
+    def test_exhausted_question_raises_unless_failures_are_collected(self):
+        record = complete_record(n_questions=2, blooms=[A, U])
+        with pytest.raises(InvalidBloomReplyError):
+            make_judge(["Comprehend"] * 4 + ["Understand"]).judge_record(record)
+        failures = []
+        judge = make_judge(["Comprehend"] * 4 + ["Understand"])
+        verdicts = judge.judge_record(record, failures=failures)
+        assert [(v.question_idx, v.judged_bloom) for v in verdicts] == [(1, U)]
+        assert failures == [JudgeFailure(
+            "r1", 0, "InvalidBloomReplyError: not a Bloom level: 'Comprehend'")]
 
     def test_rejects_incomplete_record(self):
         record = complete_record()
