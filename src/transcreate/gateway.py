@@ -274,7 +274,8 @@ class Gateway:
     """Thread-safe completion front end with retries and an in-flight cap.
 
     Callers may invoke :meth:`complete` from any number of threads; at most
-    ``max_in_flight`` requests are outstanding at once.
+    ``max_in_flight`` requests are outstanding at once. A call waiting out a
+    retry backoff holds no slot.
     """
 
     def __init__(
@@ -326,25 +327,26 @@ class Gateway:
         """Run one completion; transient failures retry with exponential backoff."""
         start = time.monotonic()
         last: GatewayError | None = None
-        with self._slots:
-            for attempt in range(self.max_retries + 1):
-                try:
+        for attempt in range(self.max_retries + 1):
+            try:
+                # Held for the send only, never across a backoff sleep.
+                with self._slots:
                     text = self.backend.send(request, step)
-                except GatewayError as exc:
-                    last = exc
-                    if _is_transient(exc) and attempt < self.max_retries:
-                        delay = self._backoff(attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    latency = time.monotonic() - start
-                    self._log(step, request, None, attempt + 1, latency, error=str(exc))
-                    if _is_transient(exc):
-                        raise RetriesExhaustedError(attempt + 1, exc) from exc
-                    raise
+            except GatewayError as exc:
+                last = exc
+                if _is_transient(exc) and attempt < self.max_retries:
+                    delay = self._backoff(attempt)
+                    if delay > 0:
+                        time.sleep(delay)
+                    continue
                 latency = time.monotonic() - start
-                self._log(step, request, text, attempt + 1, latency)
-                return CompletionResult(text=text, attempts=attempt + 1, latency_s=latency)
+                self._log(step, request, None, attempt + 1, latency, error=str(exc))
+                if _is_transient(exc):
+                    raise RetriesExhaustedError(attempt + 1, exc) from exc
+                raise
+            latency = time.monotonic() - start
+            self._log(step, request, text, attempt + 1, latency)
+            return CompletionResult(text=text, attempts=attempt + 1, latency_s=latency)
         raise RetriesExhaustedError(self.max_retries + 1, last or GatewayError("no attempt"))
 
     def complete(self, request: CompletionRequest, step: str | None = None) -> str:

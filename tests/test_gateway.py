@@ -174,6 +174,28 @@ class TestConcurrencyCap:
             thread.join()
         assert backend.peak <= 3
 
+    def test_backoff_sleep_holds_no_slot(self):
+        # Call A's first attempt times out; call B, started while A sleeps in
+        # its >= 0.24 s backoff, must not wait for it.
+        a_failed = threading.Event()
+
+        class FirstTimeout:
+            def send(self, req, step):
+                if req.user == "a" and not a_failed.is_set():
+                    a_failed.set()
+                    raise GatewayTimeoutError("first attempt")
+                return req.user
+
+        gateway = Gateway(FirstTimeout(), max_in_flight=1, backoff_base_s=0.3)
+        call_a = threading.Thread(target=gateway.complete, args=(request("a"),))
+        call_a.start()
+        assert a_failed.wait(5)
+        start = time.monotonic()
+        assert gateway.complete(request("b")) == "b"
+        elapsed = time.monotonic() - start
+        call_a.join()
+        assert elapsed < 0.1
+
 
 class FakeResponse:
     def __init__(self, status_code, payload=None, text=""):
