@@ -158,17 +158,17 @@ def _as_scored(students: Iterable[Any]) -> list[tuple[str, float]]:
     return scored
 
 
-def _fixed_point(scores: Sequence[float]) -> list[int]:
+def _fixed_point(scores: Sequence[float]) -> tuple[list[int], int]:
     """Scores as exact integers scaled by 10**d, d the most decimal places of any.
 
-    Each float is read through its shortest repr, not its binary value, so
-    0.1 + 0.2 ties with 0.3.
+    Returns the integers and the scale 10**d. Each float is read through its
+    shortest repr, not its binary value, so 0.1 + 0.2 ties with 0.3.
     """
     decimals = [Decimal(repr(score)) for score in scores]
     if not all(d.is_finite() for d in decimals):
         raise ValueError("scores must be finite")
     places = max(0, *(-d.as_tuple().exponent for d in decimals))
-    return [int(d.scaleb(places)) for d in decimals]
+    return [int(d.scaleb(places)) for d in decimals], 10**places
 
 
 def _split_key(a_idx: Iterable[int], ints: Sequence[int], k: int) -> tuple[int, int]:
@@ -187,10 +187,6 @@ def _split_key(a_idx: Iterable[int], ints: Sequence[int], k: int) -> tuple[int, 
     var_a = k * sum_sq - sum_a * sum_a
     var_b = k * (sum(x * x for x in ints) - sum_sq) - (total - sum_a) ** 2
     return abs(2 * sum_a - total), abs(var_a - var_b)
-
-
-def _mean_gap(a_idx: Sequence[int], scores: Sequence[float], k: int) -> float:
-    return abs(2 * sum(scores[i] for i in sorted(a_idx)) - sum(scores)) / k
 
 
 def _half_subsets(values: Sequence[int], bits: Sequence[int]) -> dict[tuple[int, int, int], int]:
@@ -233,8 +229,7 @@ def balanced_split(
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     ids = [sid for sid, _ in scored]
-    scores = [score for _, score in scored]
-    ints = _fixed_point(scores)
+    ints, scale = _fixed_point([score for _, score in scored])
     k = group_size
 
     if group_size > SPLIT_EXACT_LIMIT:
@@ -243,14 +238,15 @@ def balanced_split(
                 f"group_size {group_size} exceeds the exact bound {SPLIT_EXACT_LIMIT}; "
                 "pass allow_heuristic=True for a greedy swap search"
             )
-        return _heuristic_split(ids, scores, ints, k, rng_seed)
-
-    a_idx = _exact_split(ints, k)
+        a_idx = _heuristic_split(ids, ints, k, rng_seed)
+    else:
+        a_idx = _exact_split(ints, k)
     group_a = frozenset(ids[i] for i in a_idx)
+    # Integer over integer: the exact gap, correctly rounded once.
     return SplitResult(
         group_a=group_a,
         group_b=frozenset(ids) - group_a,
-        mean_gap=_mean_gap(a_idx, scores, k),
+        mean_gap=_split_key(a_idx, ints, k)[0] / (scale * k),
     )
 
 
@@ -315,10 +311,8 @@ def _exact_split(ints: Sequence[int], k: int) -> list[int]:
     return [i for i in range(n) if -best[1] & bits[i]]
 
 
-def _heuristic_split(
-    ids: Sequence[str], scores: Sequence[float], ints: Sequence[int], k: int, rng_seed: int
-) -> SplitResult:
-    """Seeded multi-restart pairwise-swap descent on the exact (gap, std gap) key."""
+def _heuristic_split(ids: Sequence[str], ints: Sequence[int], k: int, rng_seed: int) -> list[int]:
+    """Indices of group A from a seeded multi-restart pairwise-swap descent on the exact key."""
     rng = random.Random(rng_seed)
     indices = list(range(len(ids)))
     best_key: tuple[int, int, tuple[str, ...]] | None = None
@@ -351,12 +345,7 @@ def _heuristic_split(
             best_key = key
             best_a = a_set
     assert best_a is not None
-    group_a = frozenset(ids[i] for i in best_a)
-    return SplitResult(
-        group_a=group_a,
-        group_b=frozenset(ids) - group_a,
-        mean_gap=_mean_gap(best_a, scores, k),
-    )
+    return best_a
 
 
 # -- scoring -----------------------------------------------------------------------

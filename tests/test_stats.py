@@ -312,6 +312,18 @@ class TestBalancedSplit:
             )
             assert result.mean_gap == pytest.approx(best, abs=1e-12)
 
+    def test_mean_gap_is_exact(self):
+        # One correctly rounded division of exact integers: an exact zero gap
+        # is 0.0, not float summation noise such as 2.27e-14.
+        rng = random.Random(6003)
+        gaps = []
+        for _ in range(25):
+            scores = [round(rng.uniform(60, 115), 2) for _ in range(20)]
+            result = balanced_split([(f"s{i:02}", s) for i, s in enumerate(scores)], 10)
+            assert result.mean_gap == oracle_min_gap(scores, 10)
+            gaps.append(result.mean_gap)
+        assert gaps[0] == 0.0
+
     def test_input_order_invariance(self):
         students = [("s1", 80.0), ("s2", 95.0), ("s3", 99.0), ("s4", 84.0), ("s5", 90.0), ("s6", 88.0)]
         forward = balanced_split(students, 3)
