@@ -189,7 +189,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
     for record in records:
         verdicts.extend(judge.judge_record(record, failures=failures))
     payload: dict[str, Any] = {"verdicts": [verdict.to_dict() for verdict in verdicts]}
-    if verdicts:
+    if verdicts or not failures:
         payload["agreement"] = validation.agreement_report(verdicts).to_dict()
     if failures:
         payload["failures"] = [failure.to_dict() for failure in failures]

@@ -132,13 +132,14 @@ class BloomJudge:
         self,
         record: TranscreationRecord,
         exchanges: list[Exchange] | None = None,
-        failures: list[JudgeFailure] | None = None,
+        *,
+        failures: list[JudgeFailure],
     ) -> list[JudgeVerdict]:
         """One verdict per transcreated question, in question order.
 
         A question whose replies are all rejected, or whose gateway call
-        fails, raises; if ``failures`` is given it is appended there instead
-        and judging goes on with the next question.
+        fails, is appended to ``failures`` and judging goes on with the next
+        question.
         """
         if not record.status.is_complete:
             raise IncompleteRecordError(record.record_id, record.status.reason or "failed")
@@ -156,8 +157,6 @@ class BloomJudge:
                     temperature=self.temperature, seed=self.seed, retry_line=JUDGE_RETRY_LINE,
                 )
             except (GatewayError, ValidationError) as exc:
-                if failures is None:
-                    raise
                 failures.append(JudgeFailure(
                     record.record_id, idx, f"{type(exc).__name__}: {exc}",
                     gateway_failure=isinstance(exc, GatewayError),

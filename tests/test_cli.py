@@ -164,6 +164,17 @@ class TestJudgeCommand:
         assert payload["verdicts"] == [] and "agreement" not in payload
         assert len(payload["failures"]) == 20
 
+    def test_empty_records_exit_3_without_output(self, workdir, capsys):
+        records = workdir / "empty.jsonl"
+        records.write_text("", encoding="utf-8")
+        script_path = workdir / "judge_script.json"
+        script_path.write_text(json.dumps(self.judge_script(1)), encoding="utf-8")
+        out = workdir / "verdicts.json"
+        assert run(["judge", "--in", records, "--mock", script_path, "--out", out]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "validation error" in captured.err
+
     def test_failed_record_exits_3(self, workdir, fixture_items, capsys):
         script = build_mock_script(fixture_items)
         script["tag_features"] = ["mangled"] * 32

@@ -9,12 +9,7 @@ import pytest
 
 from conftest import make_question, mock_gateway
 from transcreate.corpus import BloomLevel, ReadingItem
-from transcreate.pipeline import (
-    InvalidBloomReplyError,
-    RecordStatus,
-    TranscreationRecord,
-    load_templates,
-)
+from transcreate.pipeline import RecordStatus, TranscreationRecord, load_templates
 from transcreate.validation import (
     AlreadyDecidedError,
     BloomJudge,
@@ -73,30 +68,35 @@ class TestJudge:
     def test_all_match(self):
         record = complete_record(blooms=[A] * 5)
         judge = make_judge(["Analyze"] * 5)
-        verdicts = judge.judge_record(record)
-        assert len(verdicts) == 5
+        failures = []
+        verdicts = judge.judge_record(record, failures=failures)
+        assert len(verdicts) == 5 and failures == []
         assert all(v.match for v in verdicts)
 
     def test_mismatch(self):
         record = complete_record(n_questions=1, blooms=[A])
         judge = make_judge(["Understand"])
-        verdicts = judge.judge_record(record)
+        failures = []
+        verdicts = judge.judge_record(record, failures=failures)
+        assert failures == []
         assert verdicts[0].match is False
         assert verdicts[0].judged_bloom is U
 
     def test_verdicts_in_question_order(self):
         record = complete_record(n_questions=5, blooms=[R, U, A, R, U])
         judge = make_judge(["Remember", "Understand", "Analyze", "Remember", "Understand"])
-        verdicts = judge.judge_record(record)
+        failures = []
+        verdicts = judge.judge_record(record, failures=failures)
+        assert failures == []
         assert [v.question_idx for v in verdicts] == [0, 1, 2, 3, 4]
         assert all(v.match for v in verdicts)
 
     def test_retry_on_bad_label(self):
         record = complete_record(n_questions=1, blooms=[A])
         judge = make_judge(["Comprehend", "Analyze"])
-        exchanges = []
-        verdicts = judge.judge_record(record, exchanges)
-        assert verdicts[0].match
+        exchanges, failures = [], []
+        verdicts = judge.judge_record(record, exchanges, failures=failures)
+        assert verdicts[0].match and failures == []
         first, retry = exchanges
         assert retry.user == (
             first.user
@@ -104,10 +104,8 @@ class TestJudge:
             + "\nReply with exactly one of the six level names."
         )
 
-    def test_exhausted_question_raises_unless_failures_are_collected(self):
+    def test_exhausted_question_is_collected_as_a_failure(self):
         record = complete_record(n_questions=2, blooms=[A, U])
-        with pytest.raises(InvalidBloomReplyError):
-            make_judge(["Comprehend"] * 4 + ["Understand"]).judge_record(record)
         failures = []
         judge = make_judge(["Comprehend"] * 4 + ["Understand"])
         verdicts = judge.judge_record(record, failures=failures)
@@ -120,7 +118,7 @@ class TestJudge:
         record.status = RecordStatus.failed(3, "RoundTripViolationError: nope")
         judge = make_judge([])
         with pytest.raises(IncompleteRecordError):
-            judge.judge_record(record)
+            judge.judge_record(record, failures=[])
 
 
 class TestAgreementReport:
