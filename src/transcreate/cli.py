@@ -140,8 +140,6 @@ def cmd_transcreate(args: argparse.Namespace) -> int:
     assignments = pipeline.assign_topics(
         profiles, items, args.mode, config.rng_seed, taxonomy
     )
-    gateway = config.build_gateway()
-    pipe = config.build_pipeline(gateway)
     jobs = args.jobs
     if config.mock_script_path and jobs != 1:
         _log("mock runs are forced to --jobs 1 to stay deterministic")
@@ -152,7 +150,11 @@ def cmd_transcreate(args: argparse.Namespace) -> int:
         for assignment in assignments
         for target in assignment.targets
     ]
-    records = pipe.transcreate_many(work, jobs=jobs)
+    gateway = config.build_gateway()
+    try:
+        records = config.build_pipeline(gateway).transcreate_many(work, jobs=jobs)
+    finally:
+        gateway.close()
     pipeline.save_records(records, args.out)
     failed = [record for record in records if not record.status.is_complete]
     _log(
@@ -171,23 +173,27 @@ def cmd_transcreate(args: argparse.Namespace) -> int:
 def cmd_judge(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
     records = pipeline.load_records(args.in_path)
-    incomplete = [record for record in records if not record.status.is_complete]
-    if incomplete:
-        for record in incomplete:
-            _log(f"record not judgeable: {record.record_id} ({record.status.reason})")
-        return EXIT_VALIDATION
-    gateway = config.build_gateway()
     templates = pipeline.load_templates(config.prompts_dir)
     if "judge_bloom" not in templates:
         raise ValidationError("missing prompt template: judge_bloom")
-    judge = validation.BloomJudge(
-        gateway, templates["judge_bloom"], retry_budget=config.retry_budget,
-        seed=config.rng_seed,
-    )
     verdicts: list[validation.JudgeVerdict] = []
     failures: list[validation.JudgeFailure] = []
-    for record in records:
-        verdicts.extend(judge.judge_record(record, failures=failures))
+    gateway = config.build_gateway()
+    try:
+        judge = validation.BloomJudge(
+            gateway, templates["judge_bloom"], retry_budget=config.retry_budget,
+            seed=config.rng_seed,
+        )
+        for record in records:
+            if record.status.is_complete:
+                verdicts.extend(judge.judge_record(record, failures=failures))
+            else:
+                failures.append(validation.JudgeFailure(
+                    record.record_id, None,
+                    f"record failed at step {record.status.step}: {record.status.reason}",
+                ))
+    finally:
+        gateway.close()
     payload: dict[str, Any] = {"verdicts": [verdict.to_dict() for verdict in verdicts]}
     if verdicts or not failures:
         payload["agreement"] = validation.agreement_report(verdicts).to_dict()
@@ -196,7 +202,8 @@ def cmd_judge(args: argparse.Namespace) -> int:
     _emit(payload, args.out)
     if failures:
         for failure in failures:
-            _log(f"failed: {failure.item_id} question {failure.question_idx}: {failure.reason}")
+            where = "" if failure.question_idx is None else f" question {failure.question_idx}"
+            _log(f"failed: {failure.item_id}{where}: {failure.reason}")
         if any(failure.gateway_failure for failure in failures):
             return EXIT_GATEWAY
         return EXIT_VALIDATION

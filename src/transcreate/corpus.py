@@ -83,11 +83,13 @@ class BloomLevel(Enum):
     @classmethod
     def parse(cls, text: str) -> "BloomLevel":
         """Parse a label, tolerating surrounding whitespace and case."""
-        wanted = text.strip().casefold()
-        for level in cls:
-            if level.value.casefold() == wanted:
-                return level
-        raise ValueError(f"not a Bloom level: {text!r}")
+        level = _BLOOM_BY_FOLDED_NAME.get(text.strip().casefold())
+        if level is None:
+            raise ValueError(f"not a Bloom level: {text!r}")
+        return level
+
+
+_BLOOM_BY_FOLDED_NAME = {level.value.casefold(): level for level in BloomLevel}
 
 
 @dataclass(frozen=True)

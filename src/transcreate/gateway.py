@@ -223,10 +223,32 @@ class MockBackend:
 
 
 class HttpBackend:
-    """Live chat-completions transport (OpenAI-compatible JSON bodies)."""
+    """Live chat-completions transport (OpenAI-compatible JSON bodies).
+
+    Each worker thread sends through its own ``requests.Session``, so its
+    calls reuse one kept-alive connection; :meth:`close` closes them all.
+    """
 
     def __init__(self, config: ProviderConfig):
         self.config = config
+        self._local = threading.local()
+        self._sessions: list[requests.Session] = []
+        self._sessions_lock = threading.Lock()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            with self._sessions_lock:
+                self._sessions.append(session)
+        return session
+
+    def close(self) -> None:
+        with self._sessions_lock:
+            sessions, self._sessions = self._sessions, []
+        for session in sessions:
+            session.close()
+        self._local = threading.local()
 
     def send(self, request: CompletionRequest, step: str | None) -> str:
         api_key = os.environ.get(self.config.api_key_env)
@@ -244,7 +266,7 @@ class HttpBackend:
         if request.seed is not None:
             body["seed"] = request.seed
         try:
-            response = requests.post(
+            response = self._session().post(
                 self.config.endpoint,
                 json=body,
                 headers={"Authorization": f"Bearer {api_key}"},
@@ -351,3 +373,9 @@ class Gateway:
 
     def complete(self, request: CompletionRequest, step: str | None = None) -> str:
         return self.complete_ex(request, step).text
+
+    def close(self) -> None:
+        """Release the backend's connections, if it holds any."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()

@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -130,6 +132,16 @@ class TaggedPassage:
 
     def render(self) -> str:
         """Interleave tag tokens into the original text."""
+        return self._rendered
+
+    def tag_ids(self) -> list[str]:
+        return [ins.tag_id for ins in self.insertions]
+
+    # The passage is immutable, so what step 4 derives from it is computed
+    # once per passage, however many records rewrite it.
+
+    @cached_property
+    def _rendered(self) -> str:
         parts: list[str] = []
         cursor = 0
         for ins in self.insertions:
@@ -139,8 +151,14 @@ class TaggedPassage:
         parts.append(self.original[cursor:])
         return "".join(parts)
 
-    def tag_ids(self) -> list[str]:
-        return [ins.tag_id for ins in self.insertions]
+    @cached_property
+    def word_count(self) -> int:
+        """Words in the original passage, as step 4's length envelope counts them."""
+        return len(tokenize_words(self.original))
+
+    @cached_property
+    def _sorted_tag_ids(self) -> list[str]:
+        return sorted(self.tag_ids())
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -248,19 +266,24 @@ def ask_validated(
     system, user = render_template(template, bindings)
     corrective = user
     last_error: ValidationError | None = None
-    for _ in range(retry_budget + 1):
-        request = CompletionRequest(system=system, user=corrective,
-                                    temperature=temperature, seed=seed)
-        result = gateway.complete_ex(request, step=step)
-        if exchanges is not None:
-            exchanges.append(Exchange(system, corrective, result.text, result.attempts))
-        try:
-            return parse(result.text)
-        except ValidationError as exc:
-            last_error = exc
-            corrective = f"{user}\n\nYour previous reply was rejected: {exc}\n{retry_line}"
-    assert last_error is not None
-    raise last_error
+    try:
+        for _ in range(retry_budget + 1):
+            request = CompletionRequest(system=system, user=corrective,
+                                        temperature=temperature, seed=seed)
+            result = gateway.complete_ex(request, step=step)
+            if exchanges is not None:
+                exchanges.append(Exchange(system, corrective, result.text, result.attempts))
+            try:
+                return parse(result.text)
+            except ValidationError as exc:
+                last_error = exc
+                corrective = f"{user}\n\nYour previous reply was rejected: {exc}\n{retry_line}"
+        assert last_error is not None
+        raise last_error
+    finally:
+        # The error's traceback holds this frame; dropping the frame's hold
+        # on the error lets both be freed at once, not by the cycle collector.
+        last_error = None
 
 
 @dataclass(frozen=True)
@@ -409,6 +432,56 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
     return load_prompt_dir(directory or default_prompt_dir())
 
 
+def questions_payload(source_questions: Sequence[Question], blooms: Sequence[BloomLevel]) -> str:
+    """The source questions with their levels, as the step 5 prompt shows them."""
+    payload = [
+        {
+            "stem": q.stem,
+            "options": list(q.options),
+            "answer": "ABCD"[q.answer_index],
+            "bloom": bloom.value,
+        }
+        for q, bloom in zip(source_questions, blooms)
+    ]
+    return json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+@dataclass
+class ItemAnalysis:
+    """Steps 1-3 of one item, which read only the source, shared by every
+    record that rewrites the item.
+
+    ``status`` is complete or the failure of the first step that failed;
+    fields of later steps stay ``None``. Once steps 1-3 are complete,
+    ``questions_json`` holds step 5's rendering of the source questions,
+    and ``tagged_source`` computes step 4's inputs once (see
+    :class:`TaggedPassage`).
+    """
+
+    extracted_topic: str | None = None
+    question_blooms: tuple[BloomLevel, ...] | None = None
+    tagged_source: TaggedPassage | None = None
+    questions_json: str | None = None
+    step_exchanges: dict[str, list[Exchange]] = field(
+        default_factory=lambda: {STEP_NAMES[n]: [] for n in (1, 2, 3)}
+    )
+    status: RecordStatus = field(default_factory=RecordStatus.complete)
+
+
+def _run_steps(steps: Sequence[tuple[int, Callable[[], None]]]) -> RecordStatus:
+    """Run numbered steps in order; the first failure becomes the returned status."""
+    for number, run in steps:
+        try:
+            run()
+        except GatewayError as exc:
+            return RecordStatus.failed(
+                number, f"{type(exc).__name__}: {exc}", gateway_failure=True
+            )
+        except ValidationError as exc:
+            return RecordStatus.failed(number, f"{type(exc).__name__}: {exc}")
+    return RecordStatus.complete()
+
+
 class TranscreationPipeline:
     """Runs the five transcreation steps against a configured gateway."""
 
@@ -516,8 +589,8 @@ class TranscreationPipeline:
         """
         if target_topic not in self.taxonomy:
             raise UnknownTopicError(target_topic)
-        source_words = len(tokenize_words(tagged.original))
-        expected_tags = sorted(tagged.tag_ids())
+        source_words = tagged.word_count
+        expected_tags = tagged._sorted_tag_ids
 
         def parse(reply: str) -> str:
             found_tags = sorted(TAG_TOKEN_RE.findall(reply))
@@ -558,17 +631,16 @@ class TranscreationPipeline:
         source_questions: Sequence[Question],
         blooms: Sequence[BloomLevel],
         exchanges: list[Exchange] | None = None,
+        *,
+        questions_json: str | None = None,
     ) -> tuple[Question, ...]:
-        """Step 5: rewrite the questions; each keeps its source's cognitive level."""
-        payload = [
-            {
-                "stem": q.stem,
-                "options": list(q.options),
-                "answer": "ABCD"[q.answer_index],
-                "bloom": bloom.value,
-            }
-            for q, bloom in zip(source_questions, blooms)
-        ]
+        """Step 5: rewrite the questions; each keeps its source's cognitive level.
+
+        ``questions_json`` is ``questions_payload(source_questions, blooms)``
+        when the caller already has it (see :class:`ItemAnalysis`).
+        """
+        if questions_json is None:
+            questions_json = questions_payload(source_questions, blooms)
 
         def parse(reply: str) -> tuple[Question, ...]:
             text = reply.strip()
@@ -611,12 +683,38 @@ class TranscreationPipeline:
 
         return self._ask(
             "transcreate_questions",
-            {"passage": passage, "questions_json": json.dumps(payload, ensure_ascii=False, indent=2)},
+            {"passage": passage, "questions_json": questions_json},
             parse,
             exchanges,
         )
 
     # -- full item ------------------------------------------------------------
+
+    def analyse(self, item: ReadingItem) -> ItemAnalysis:
+        """Run Steps 1-3, which read only the source item.
+
+        Never raises for step failures: a terminal failure is captured as
+        ``status=failed(step, reason)`` with all earlier exchanges preserved.
+        """
+        analysis = ItemAnalysis()
+        exchanges = analysis.step_exchanges
+
+        def step1() -> None:
+            analysis.extracted_topic = self.extract_topic(item, exchanges["extract_topic"])
+
+        def step2() -> None:
+            analysis.question_blooms = tuple(
+                self.classify_question(question, exchanges["classify_question"])
+                for question in item.questions
+            )
+
+        def step3() -> None:
+            analysis.tagged_source = self.tag_features(item, exchanges["tag_features"])
+
+        analysis.status = _run_steps([(1, step1), (2, step2), (3, step3)])
+        if analysis.status.is_complete:
+            analysis.questions_json = questions_payload(item.questions, analysis.question_blooms)
+        return analysis
 
     def transcreate_item(
         self,
@@ -625,42 +723,41 @@ class TranscreationPipeline:
         *,
         student_id: str | None = None,
         assignment_mode: str | None = None,
+        analysis: ItemAnalysis | None = None,
     ) -> TranscreationRecord:
-        """Run Steps 1-5 for one item.
+        """Run Steps 4-5 for one item on its analysis (Steps 1-3).
 
-        Never raises for step failures: a terminal failure is captured as
-        ``status=failed(step, reason)`` with all earlier exchanges preserved.
+        Without ``analysis`` the item is analysed first. The record gets the
+        analysis's fields and copies of its exchange lists; if the analysis
+        failed, so does the record, with the same step and reason, and Steps
+        4-5 are not asked. Never raises for step failures: a terminal failure
+        is captured as ``status=failed(step, reason)`` with all earlier
+        exchanges preserved.
         """
         if target_topic not in self.taxonomy:
             raise UnknownTopicError(target_topic)
+        if analysis is None:
+            analysis = self.analyse(item)
         record = TranscreationRecord(
             source=item,
             target_topic=target_topic,
             student_id=student_id,
             assignment_mode=assignment_mode,
+            extracted_topic=analysis.extracted_topic,
+            question_blooms=analysis.question_blooms,
+            tagged_source=analysis.tagged_source,
+            topic_unchanged=analysis.extracted_topic == target_topic,
         )
-
-        def step1() -> None:
-            record.extracted_topic = self.extract_topic(
-                item, record.step_exchanges["extract_topic"]
-            )
-            record.topic_unchanged = record.extracted_topic == target_topic
-
-        def step2() -> None:
-            blooms = []
-            for question in item.questions:
-                blooms.append(
-                    self.classify_question(question, record.step_exchanges["classify_question"])
-                )
-            record.question_blooms = tuple(blooms)
-
-        def step3() -> None:
-            record.tagged_source = self.tag_features(item, record.step_exchanges["tag_features"])
+        for name, exchanges in analysis.step_exchanges.items():
+            record.step_exchanges[name] = list(exchanges)
+        if not analysis.status.is_complete:
+            record.status = analysis.status
+            return record
 
         def step4() -> None:
             record.transcreated_passage = self.transcreate_passage(
-                record.tagged_source,
-                record.extracted_topic,
+                analysis.tagged_source,
+                analysis.extracted_topic,
                 target_topic,
                 record.step_exchanges["transcreate_passage"],
             )
@@ -669,23 +766,12 @@ class TranscreationPipeline:
             record.transcreated_questions = self.transcreate_questions(
                 record.transcreated_passage,
                 item.questions,
-                record.question_blooms,
+                analysis.question_blooms,
                 record.step_exchanges["transcreate_questions"],
+                questions_json=analysis.questions_json,
             )
 
-        steps = [(1, step1), (2, step2), (3, step3), (4, step4), (5, step5)]
-        for number, run in steps:
-            try:
-                run()
-            except GatewayError as exc:
-                record.status = RecordStatus.failed(
-                    number, f"{type(exc).__name__}: {exc}", gateway_failure=True
-                )
-                return record
-            except ValidationError as exc:
-                record.status = RecordStatus.failed(number, f"{type(exc).__name__}: {exc}")
-                return record
-        record.status = RecordStatus.complete()
+        record.status = _run_steps([(4, step4), (5, step5)])
         return record
 
     def transcreate_many(
@@ -693,19 +779,38 @@ class TranscreationPipeline:
         work: Sequence[tuple[ReadingItem, str, str | None, str | None]],
         jobs: int = 1,
     ) -> list[TranscreationRecord]:
-        """Transcreate (item, target, student_id, mode) tuples; output keeps input order."""
+        """Transcreate (item, target, student_id, mode) tuples; output keeps input order.
+
+        Each item is analysed once, by the task of its first record; later
+        records of the item, in any worker, wait for that analysis and share
+        it. Items are told apart by id.
+        """
+        analyses: dict[str, Future[ItemAnalysis]] = {}
+        lock = threading.Lock()
+
+        def analysis_of(item: ReadingItem) -> ItemAnalysis:
+            with lock:
+                future = analyses.get(item.id)
+                first = future is None
+                if first:
+                    future = analyses[item.id] = Future()
+            if first:
+                try:
+                    future.set_result(self.analyse(item))
+                except BaseException as exc:
+                    future.set_exception(exc)
+                    raise
+            return future.result()
+
+        def run(item: ReadingItem, target: str, sid: str | None,
+                mode: str | None) -> TranscreationRecord:
+            return self.transcreate_item(item, target, student_id=sid, assignment_mode=mode,
+                                         analysis=analysis_of(item))
+
         if jobs <= 1:
-            return [
-                self.transcreate_item(item, target, student_id=sid, assignment_mode=mode)
-                for item, target, sid, mode in work
-            ]
+            return [run(*entry) for entry in work]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    self.transcreate_item, item, target, student_id=sid, assignment_mode=mode
-                )
-                for item, target, sid, mode in work
-            ]
+            futures = [pool.submit(run, *entry) for entry in work]
             return [future.result() for future in futures]
 
 

@@ -7,7 +7,9 @@ with its append-only decision log.
 
 from __future__ import annotations
 
+import json
 import os
+import socket
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -106,10 +108,14 @@ class JudgeVerdict:
 
 @dataclass(frozen=True)
 class JudgeFailure:
-    """A question the judge could not label: every reply was rejected, or the gateway failed."""
+    """A question the judge could not label: every reply was rejected, or the gateway failed.
+
+    ``question_idx`` is ``None`` for a record that failed transcreation and
+    so has no questions to judge.
+    """
 
     item_id: str
-    question_idx: int
+    question_idx: int | None
     reason: str
     gateway_failure: bool = False
 
@@ -474,19 +480,39 @@ class ReviewQueue:
 
 
 class QueueLock:
-    """Single-writer lock for a queue file (O_EXCL lock file next to it)."""
+    """Single-writer lock for a queue file (O_EXCL lock file next to it).
+
+    The lock file names its owner as ``{"pid": ..., "host": ...}``. A lock
+    whose owner is a process of this host that has exited (a crashed
+    session) is taken over. Any other existing lock is refused, as is one
+    that names no owner, since its owner cannot be checked.
+    """
 
     def __init__(self, queue_path: str | Path):
         self.lock_path = Path(str(queue_path) + ".lock")
 
     def __enter__(self) -> "QueueLock":
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        if self._create():
+            return self
+        owner = self._owner()
+        if owner is None:
             raise ConcurrentReviewError(
-                f"another review session holds {self.lock_path}"
-            ) from None
-        os.close(fd)
+                f"lock file {self.lock_path} names no owner; remove it if no review "
+                "session is running"
+            )
+        pid, host = owner
+        if host != socket.gethostname() or _pid_running(pid):
+            raise ConcurrentReviewError(
+                f"another review session holds {self.lock_path} (pid {pid} on {host})"
+            )
+        # The owner has exited: replace its lock. (Two sessions that break the
+        # same stale lock at the same instant can both pass.)
+        try:
+            os.unlink(self.lock_path)
+        except FileNotFoundError:
+            pass
+        if not self._create():
+            raise ConcurrentReviewError(f"another review session holds {self.lock_path}")
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -494,6 +520,39 @@ class QueueLock:
             os.unlink(self.lock_path)
         except OSError:
             pass
+
+    def _create(self) -> bool:
+        try:
+            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return False
+        try:
+            owner = {"pid": os.getpid(), "host": socket.gethostname()}
+            os.write(fd, json.dumps(owner).encode("utf-8"))
+        finally:
+            os.close(fd)
+        return True
+
+    def _owner(self) -> tuple[int, str] | None:
+        """The (pid, host) a lock file names, or None if it names no valid owner."""
+        try:
+            data = json.loads(self.lock_path.read_text(encoding="utf-8"))
+            pid, host = data["pid"], data["host"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        if type(pid) is not int or not 0 < pid < 2**31 or not isinstance(host, str):
+            return None
+        return pid, host
+
+
+def _pid_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it exists, under another user
+        pass
+    return True
 
 
 # -- QA report ------------------------------------------------------------------

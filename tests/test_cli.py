@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -175,6 +176,26 @@ class TestJudgeCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "validation error" in captured.err
 
+    def test_failed_record_is_listed_and_the_rest_judged(self, workdir, fixture_items, capsys):
+        script = build_mock_script(fixture_items)
+        script["tag_features"][:1] = ["mangled"] * 4  # r1 exhausts its budget at step 3
+        (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        assert run(transcreate_argv(workdir)) == 3
+        script_path = workdir / "judge_script.json"
+        script_path.write_text(json.dumps(self.judge_script(3)), encoding="utf-8")
+        out = workdir / "verdicts.json"
+        capsys.readouterr()
+        assert run(["judge", "--in", workdir / "out.jsonl", "--mock", script_path,
+                    "--out", out]) == 3
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert [v["item_id"] for v in payload["verdicts"]] == [
+            f"r{n}:s1" for n in (2, 3, 4) for _ in range(5)]
+        assert (payload["agreement"]["n"], payload["agreement"]["accuracy"]) == (15, 1.0)
+        [failure] = payload["failures"]
+        assert (failure["item_id"], failure["question_idx"]) == ("r1:s1", None)
+        assert failure["reason"].startswith("record failed at step 3: RoundTripViolationError")
+        assert "failed: r1:s1: record failed at step 3" in capsys.readouterr().err
+
     def test_failed_record_exits_3(self, workdir, fixture_items, capsys):
         script = build_mock_script(fixture_items)
         script["tag_features"] = ["mangled"] * 32
@@ -344,17 +365,24 @@ class TestConfigPrecedence:
 class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log."""
 
-    RECORDS_SHA256 = "2206976f07fc6fb6da4e0c361713eb5b7718b89d913eb94efe7bb5c433ec9929"
+    RECORDS_SHA256 = "8bc80fd10e18075425865d98f6977b2b3412a0bb70ce164e8aeaa2c55156dc00"
     JUDGE_SHA256 = "4a1a601d91d4b77bdeb339b8b6770691f6eb5af3af60e3e31bfc23d4bee4133f"
-    LOG_SHA256 = "fac898253c0a2487e018de29ff5a3d0ccc838965a8eb36a7c93a6b0696f0d4c2"
+    LOG_SHA256 = "3522bb49992d744a253821c37584110f66c2011a596311be17143abfc1d28e36"
+    # Digests from the version that analysed each (item, student) pair anew:
+    # the s1 records, and the s2 records without r1:s2's classify_question
+    # exchanges, the only analysis list that differed from s1's there.
+    S1_RECORDS_SHA256 = "5784014cee67022e5d0d8cab6622d21dcd714f70cd9c3c65d2a1c8bac583f7aa"
+    S2_RECORDS_SHA256 = "6661630b86f00241ac8ca49289860d30695725ef0073ea97310c40a951b08636"
+    CLEAN_RECORDS_SHA256 = "fdf193df993f29f0e7c9e0cd62ed09d67fd0a3bfb27c9b1779023b5d23c39783"
 
-    def test_transcreate_then_judge(self, workdir, fixture_items, fixture_profile):
-        import hashlib
-
+    def two_students(self, workdir):
         profiles = json.loads((workdir / "profiles.json").read_text(encoding="utf-8"))
         profiles.append(dict(profiles[0], student_id="s2",
                              top_interests=["9.a", "4.b", "6.c", "2.a"]))
         (workdir / "profiles.json").write_text(json.dumps(profiles), encoding="utf-8")
+
+    def test_transcreate_then_judge(self, workdir, fixture_items, fixture_profile):
+        self.two_students(workdir)
         script = build_mock_script(fixture_items, repeats=2)
         # One rejected reply each at steps 2 and 4 and in the judge, so the
         # corrective prompts are part of what is pinned.
@@ -370,15 +398,36 @@ class TestGoldenDigests:
         assert run(["judge", "--in", workdir / "out.jsonl", "--out", workdir / "verdicts.json",
                     "--mock", workdir / "judge.json", "--log", log]) == 0
 
-        def digest(data: bytes) -> str:
-            return hashlib.sha256(data).hexdigest()
+        lines = (workdir / "out.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) == 8
+        assert digest(b"".join(lines[:4])) == self.S1_RECORDS_SHA256
+        s1, s2 = [json.loads(line) for line in lines[:4]], [json.loads(line) for line in lines[4:]]
+        for first, second in zip(s1, s2):
+            for step in ("extract_topic", "classify_question", "tag_features"):
+                assert second["step_exchanges"][step] == first["step_exchanges"][step]
+        s2[0]["step_exchanges"]["classify_question"] = []
+        assert digest(json.dumps(s2, ensure_ascii=False).encode("utf-8")) == self.S2_RECORDS_SHA256
 
         fields = ("step", "system", "user", "response", "attempts", "error")
         log_lines = [
             json.dumps([entry.get(name) for name in fields], ensure_ascii=False)
             for entry in map(json.loads, log.read_text(encoding="utf-8").splitlines())
         ]
-        assert len(log_lines) == 2 * 4 * (1 + 5 + 1 + 1 + 1) + 2 + 41
+        # Steps 1-3 once per item, steps 4-5 per record, two rejected
+        # replies, then the judge's 40 questions and one rejected reply.
+        assert len(log_lines) == 4 * (1 + 5 + 1) + 8 * 2 + 2 + 41
         assert digest((workdir / "out.jsonl").read_bytes()) == self.RECORDS_SHA256
         assert digest((workdir / "verdicts.json").read_bytes()) == self.JUDGE_SHA256
         assert digest("\n".join(log_lines).encode("utf-8")) == self.LOG_SHA256
+
+    def test_clean_two_student_run(self, workdir, fixture_items):
+        # Every reply accepted: the records equal those of analysing per record.
+        self.two_students(workdir)
+        script = build_mock_script(fixture_items, repeats=2)
+        (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        assert run(transcreate_argv(workdir)) == 0
+        assert digest((workdir / "out.jsonl").read_bytes()) == self.CLEAN_RECORDS_SHA256
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()

@@ -131,6 +131,16 @@ class TestBloomLevel:
     def test_six_levels(self):
         assert len(BloomLevel) == 6
 
+    def test_every_level_parses_in_any_case_and_padding(self):
+        for level in BloomLevel:
+            for raw in (level.value.upper(), level.value.lower(), f"  {level.value}\t\n"):
+                assert BloomLevel.parse(raw) is level
+
+    def test_rejection_message(self):
+        with pytest.raises(ValueError) as err:
+            BloomLevel.parse("Comprehend")
+        assert str(err.value) == "not a Bloom level: 'Comprehend'"
+
 
 class TestTaxonomy:
     def test_default_counts(self, taxonomy):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -211,7 +212,7 @@ class FakeResponse:
 
 class TestHttpBackend:
     def config(self):
-        return ProviderConfig(endpoint="https://example.test/v1/chat", api_key_env="TEST_KEY")
+        return ProviderConfig(endpoint="http://127.0.0.1:9/v1/chat", api_key_env="TEST_KEY")
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("TEST_KEY", raising=False)
@@ -223,18 +224,18 @@ class TestHttpBackend:
         monkeypatch.setenv("TEST_KEY", "secret")
         payload = {"choices": [{"message": {"content": "fine"}}]}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_post(session, url, json=None, headers=None, timeout=None):
             assert headers["Authorization"] == "Bearer secret"
             assert json["messages"][1]["content"] == "hello"
             return FakeResponse(200, payload)
 
-        monkeypatch.setattr("transcreate.gateway.requests.post", fake_post)
+        monkeypatch.setattr("transcreate.gateway.requests.Session.post", fake_post)
         assert HttpBackend(self.config()).send(request(), None) == "fine"
 
     def test_http_error_status(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "secret")
         monkeypatch.setattr(
-            "transcreate.gateway.requests.post",
+            "transcreate.gateway.requests.Session.post",
             lambda *a, **k: FakeResponse(400, text="bad request"),
         )
         with pytest.raises(HttpStatusError) as err:
@@ -251,7 +252,7 @@ class TestHttpBackend:
                 return FakeResponse(503, text="busy")
             return FakeResponse(200, {"choices": [{"message": {"content": "done"}}]})
 
-        monkeypatch.setattr("transcreate.gateway.requests.post", flaky_post)
+        monkeypatch.setattr("transcreate.gateway.requests.Session.post", flaky_post)
         gateway = Gateway(HttpBackend(self.config()), max_retries=3, backoff_base_s=0)
         result = gateway.complete_ex(request())
         assert result.text == "done"
@@ -265,6 +266,78 @@ class TestHttpBackend:
         def timeout_post(*args, **kwargs):
             raise requests_lib.Timeout("too slow")
 
-        monkeypatch.setattr("transcreate.gateway.requests.post", timeout_post)
+        monkeypatch.setattr("transcreate.gateway.requests.Session.post", timeout_post)
         with pytest.raises(GatewayTimeoutError):
             HttpBackend(self.config()).send(request(), None)
+
+
+class EchoHandler(BaseHTTPRequestHandler):
+    """Keep-alive chat-completions stub that replies with the user prompt."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        content = body["messages"][1]["content"]
+        reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def echo_server(monkeypatch):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy",
+                 "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), EchoHandler)
+    server.lock = threading.Lock()
+    server.connections = 0
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestHttpConnectionReuse:
+    def backend(self, server, monkeypatch):
+        monkeypatch.setenv("TEST_KEY", "secret")
+        host, port = server.server_address
+        return HttpBackend(ProviderConfig(endpoint=f"http://{host}:{port}/v1/chat",
+                                          api_key_env="TEST_KEY"))
+
+    def test_sequential_sends_share_one_connection(self, echo_server, monkeypatch):
+        backend = self.backend(echo_server, monkeypatch)
+        try:
+            replies = [backend.send(request(f"call {n}"), None) for n in range(10)]
+        finally:
+            backend.close()
+        assert replies == [f"call {n}" for n in range(10)]
+        assert echo_server.connections == 1
+
+    def test_one_session_per_thread_and_close_drops_them(self, echo_server, monkeypatch):
+        backend = self.backend(echo_server, monkeypatch)
+        threads = [threading.Thread(target=backend.send, args=(request(), None))
+                   for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(backend._sessions) == 3
+        backend.close()
+        assert backend._sessions == []
+        assert backend.send(request("again"), None) == "again"
+        backend.close()

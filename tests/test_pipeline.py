@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import re
+import threading
+import time
+import types
+from collections import Counter
 
 import pytest
 
 from conftest import (
+    BLOOM_CYCLE,
     FIXTURE_TAGS,
     build_mock_script,
     make_item,
@@ -17,6 +24,7 @@ from conftest import (
     themed_passage_reply,
 )
 from transcreate.corpus import BloomLevel, UnknownTopicError
+from transcreate.gateway import Gateway
 from transcreate.pipeline import (
     InvalidBloomReplyError,
     InvalidTopicReplyError,
@@ -387,6 +395,116 @@ class TestTranscreateItem:
             pipe = make_pipeline(build_mock_script([item]), taxonomy, tagset)
             records.append(pipe.transcreate_item(item, "7.a", student_id="s1"))
         assert json.dumps(records[0].to_dict()) == json.dumps(records[1].to_dict())
+
+    def test_rejected_replies_leave_no_frame_cycles(self, taxonomy, tagset, fixture_items):
+        # A kept error would hold the asking frame, and through it the
+        # record's data, until the cycle collector happened to run.
+        script = build_mock_script(fixture_items[:2])
+        script["classify_question"].insert(0, "Comprehend")  # rejected, then accepted
+        script["tag_features"][1:2] = ["mangled"] * 4  # r2 exhausts step 3
+        pipe = make_pipeline(script, taxonomy, tagset)
+        gc.collect()
+        gc.disable()
+        try:
+            records = [pipe.transcreate_item(item, "7.a") for item in fixture_items[:2]]
+            assert [record.status.step for record in records] == [None, 3]
+            del records, pipe
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            frames = [obj.f_code.co_name for obj in gc.garbage
+                      if isinstance(obj, types.FrameType)
+                      and "transcreate" in obj.f_code.co_filename]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert frames == []
+
+
+class PromptBackend:
+    """Thread-safe fake provider: each reply is chosen from the prompt it answers.
+
+    Replies do not depend on call order, so any schedule of workers gets the
+    same records. Items in ``broken_tagging`` get a paraphrase at step 3.
+    """
+
+    def __init__(self, items, broken_tagging=()):
+        self.items = items
+        self.broken_tagging = set(broken_tagging)
+        self.calls = Counter()
+        self.rewrites = Counter()  # step 4 prompts per item id
+        self.lock = threading.Lock()
+
+    def item_in(self, prompt):
+        # The first sentence survives tagging, so it marks the item in step 4 too.
+        [item] = [item for item in self.items if item.passage.split(". ")[0] in prompt]
+        return item
+
+    def send(self, request, step):
+        with self.lock:
+            self.calls[step] += 1
+        time.sleep(0.002)  # let workers overlap
+        prompt = request.user
+        if step == "extract_topic":
+            return self.item_in(prompt).source_topic
+        if step == "classify_question":
+            part = int(re.search(r"part (\d+)", prompt).group(1))
+            return BLOOM_CYCLE[(part - 1) % len(BLOOM_CYCLE)]
+        if step == "tag_features":
+            item = self.item_in(prompt)
+            if item.id in self.broken_tagging:
+                return "Broken paraphrase."
+            return tagged_reply(item.passage, FIXTURE_TAGS)
+        if step == "transcreate_passage":
+            item = self.item_in(prompt)
+            with self.lock:
+                self.rewrites[item.id] += 1
+            target = re.search(r"New topic: (\S+) \(", prompt).group(1)
+            return themed_passage_reply(item.passage, FIXTURE_TAGS,
+                                        "topic" + target.replace(".", ""))
+        assert step == "transcreate_questions"
+        return questions_reply(5, "new")
+
+
+class TestTranscreateMany:
+    TARGETS = {"s1": ("7.a", "8.c", "1.a"), "s2": ("9.a", "4.b", "6.c"), "s3": ("3.d", "7.a", "2.a")}
+
+    def work(self, items):
+        # Item by item, so records of one item run side by side with jobs=2.
+        return [(item, self.TARGETS[sid][k], sid, "interest")
+                for k, item in enumerate(items) for sid in self.TARGETS]
+
+    def run(self, items, taxonomy, tagset, jobs, **backend_kwargs):
+        backend = PromptBackend(items, **backend_kwargs)
+        pipe = TranscreationPipeline(Gateway(backend, backoff_base_s=0.0), taxonomy, tagset)
+        return pipe.transcreate_many(self.work(items), jobs=jobs), backend
+
+    def test_parallel_run_analyses_each_item_once(self, taxonomy, tagset, fixture_items):
+        items = fixture_items[:3]
+        serial, _ = self.run(items, taxonomy, tagset, jobs=1)
+        parallel, backend = self.run(items, taxonomy, tagset, jobs=2)
+        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
+        assert all(record.status.is_complete for record in parallel)
+        assert backend.calls == {"extract_topic": 3, "classify_question": 15, "tag_features": 3,
+                                 "transcreate_passage": 9, "transcreate_questions": 9}
+        # Every record of an item holds its own lists of the same exchanges.
+        first, second = parallel[0].step_exchanges, parallel[1].step_exchanges
+        assert first["tag_features"] is not second["tag_features"]
+        assert first["tag_features"][0] is second["tag_features"][0]
+
+    def test_failed_analysis_fails_every_record_of_the_item(self, taxonomy, tagset,
+                                                            fixture_items):
+        items = fixture_items[:3]
+        records, backend = self.run(items, taxonomy, tagset, jobs=2, broken_tagging={"r2"})
+        broken = [r for r in records if r.source.id == "r2"]
+        assert len(broken) == 3
+        assert {(r.status.step, r.status.reason) for r in broken} == {(3, broken[0].status.reason)}
+        assert "RoundTripViolationError" in broken[0].status.reason
+        assert all(len(r.step_exchanges["tag_features"]) == 4 for r in broken)
+        assert all(r.transcreated_passage is None for r in broken)
+        assert backend.rewrites == {"r1": 3, "r3": 3}
+        assert all(r.status.is_complete for r in records if r.source.id != "r2")
+        assert backend.calls["tag_features"] == 1 + 4 + 1
 
 
 class TestAssignTopics:

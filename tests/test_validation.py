@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -282,6 +286,49 @@ class TestReviewQueue:
         # released: can lock again
         with QueueLock(path):
             pass
+
+    def write_lock(self, path, owner):
+        lock = QueueLock(path).lock_path
+        lock.write_text(owner if isinstance(owner, str) else json.dumps(owner))
+        return lock
+
+    def test_lock_names_its_owner(self, tmp_path):
+        path = tmp_path / "q.json"
+        with QueueLock(path) as lock:
+            owner = json.loads(lock.lock_path.read_text())
+        assert owner == {"pid": os.getpid(), "host": socket.gethostname()}
+
+    def test_lock_of_exited_process_is_taken_over(self, tmp_path):
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        path = tmp_path / "q.json"
+        lock = self.write_lock(path, {"pid": int(child.stdout), "host": socket.gethostname()})
+        with QueueLock(path):
+            assert json.loads(lock.read_text())["pid"] == os.getpid()
+        assert not lock.exists()
+
+    def test_lock_of_live_process_is_refused(self, tmp_path):
+        path = tmp_path / "q.json"
+        lock = self.write_lock(path, {"pid": os.getpid(), "host": socket.gethostname()})
+        with pytest.raises(ConcurrentReviewError, match=f"pid {os.getpid()} on "):
+            QueueLock(path).__enter__()
+        assert lock.exists()
+
+    def test_lock_of_other_host_is_refused(self, tmp_path):
+        path = tmp_path / "q.json"
+        self.write_lock(path, {"pid": 1, "host": socket.gethostname() + ".elsewhere"})
+        with pytest.raises(ConcurrentReviewError, match="elsewhere"):
+            QueueLock(path).__enter__()
+
+    @pytest.mark.parametrize("content", ["", "not json", '{"pid": 0, "host": "h"}', "[]",
+                                         '{"pid": 99999999999999999999, "host": "h"}'])
+    def test_lock_without_owner_is_refused(self, tmp_path, content):
+        path = tmp_path / "q.json"
+        lock = self.write_lock(path, content)
+        with pytest.raises(ConcurrentReviewError, match="names no owner") as err:
+            QueueLock(path).__enter__()
+        assert str(lock) in str(err.value)
+        assert lock.read_text() == content
 
 
 class TestQaReport:
