@@ -5,9 +5,11 @@ All functions here are pure and safe for unlimited parallel invocation.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Sequence
@@ -24,7 +26,7 @@ VOWELS = frozenset("aeiouy")
 # Maximal runs of letters, digits, and apostrophes; everything else splits.
 _TOKEN_RE = re.compile(r"(?:[^\W\d_]|\d|['’])+")
 
-_SENTENCE_TERMINALS = frozenset(".!?")
+_SENTENCE_TERMINAL_RE = re.compile(r"[.!?]")
 
 # Tokens whose trailing period does not end a sentence.
 ABBREVIATIONS = frozenset(
@@ -72,8 +74,9 @@ def split_sentences(text: str) -> list[str]:
         return []
     spans: list[str] = []
     start = 0
-    for idx, char in enumerate(text):
-        if char in _SENTENCE_TERMINALS and _is_boundary(text, idx):
+    for match in _SENTENCE_TERMINAL_RE.finditer(text):
+        idx = match.start()
+        if _is_boundary(text, idx):
             spans.append(text[start : idx + 1])
             start = idx + 1
     if start < len(text):
@@ -87,11 +90,13 @@ def split_sentences(text: str) -> list[str]:
     return spans
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: vowel groups, minus a silent terminal 'e'.
 
     The final 'e' survives when the word ends in 'le' after a consonant
     (ta-ble, peo-ple). Any word containing a letter counts at least 1.
+    Memoised: passages share most of their vocabulary.
     """
     w = word.casefold()
     if not any(ch.isalpha() for ch in w):
@@ -147,8 +152,9 @@ def passage_report(text: str) -> PassageReport:
     sentences = split_sentences(text)
     if not words or not sentences:
         raise EmptyPassageError("passage has no words")
-    syllables = sum(count_syllables(word) for word in words)
-    ttr = len(set(words)) / len(words)
+    counts = Counter(words)
+    syllables = sum(n * count_syllables(word) for word, n in counts.items())
+    ttr = len(counts) / len(words)
     fres = (
         FRES_BASE
         - FRES_SENTENCE_WEIGHT * (len(words) / len(sentences))

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from conftest import PASSAGES
+from transcreate import textmetrics
 from transcreate.textmetrics import (
     EmptyCorpusError,
     EmptyPassageError,
@@ -135,6 +137,100 @@ class TestPassageReport:
             assert 0 < report.ttr <= 1.0
             distinct = len(set(words)) == len(words)
             assert (report.ttr == 1.0) == distinct
+
+
+# The seed's character-by-character sentence splitter and set-based report,
+# kept as the reference for the one-pass versions.
+def seed_split_sentences(text):
+    if not text.strip():
+        return []
+    spans = []
+    start = 0
+    for idx, char in enumerate(text):
+        if char in ".!?" and textmetrics._is_boundary(text, idx):
+            spans.append(text[start : idx + 1])
+            start = idx + 1
+    if start < len(text):
+        tail = text[start:]
+        if tail.strip():
+            spans.append(tail)
+        elif spans:
+            spans[-1] += tail
+        else:
+            spans.append(tail)
+    return spans
+
+
+def seed_passage_report(text):
+    words = tokenize_words(text)
+    sentences = seed_split_sentences(text)
+    if not words or not sentences:
+        raise EmptyPassageError("passage has no words")
+    syllables = sum(count_syllables(word) for word in words)
+    ttr = len(set(words)) / len(words)
+    fres = (
+        textmetrics.FRES_BASE
+        - textmetrics.FRES_SENTENCE_WEIGHT * (len(words) / len(sentences))
+        - textmetrics.FRES_SYLLABLE_WEIGHT * (syllables / len(words))
+    )
+    return PassageReport(
+        word_count=len(words),
+        sentence_count=len(sentences),
+        syllable_count=syllables,
+        ttr=ttr,
+        fres=fres,
+    )
+
+
+ORACLE_PIECES = [
+    "Dr.", "Mrs.", "mr.", "e.g.", "i.e.", "etc.", "U.S.", "vs.", "St.", "Prof.",
+    "the", "cat", "table", "people", "whole", "happy", "rhythm", "sky",
+    "don't", "it's", "o’clock", "'tis", "naïve", "café", "Straße", "ÉCOLE", "Ωmega",
+    "東京", "١٢٣", "٣", "2024", "3.14", "10.", "x",
+    ".", "!", "?", "?!", "!?", "...", "..", ".!", ",", ";", "—", "\"", "(a)", "A.",
+]
+ORACLE_GAPS = [" ", " ", " ", "  ", "\n", "\t", "\u00a0", "\u2003", ""]
+
+
+def oracle_text(rng):
+    out = [rng.choice(["", " ", "\n"])]
+    for _ in range(rng.randint(0, 40)):
+        out.append(rng.choice(ORACLE_PIECES))
+        out.append(rng.choice(ORACLE_GAPS))
+    return "".join(out)
+
+
+def outcome(func, text):
+    try:
+        return func(text)
+    except EmptyPassageError as exc:
+        return ("EmptyPassageError", str(exc))
+
+
+class TestSeedOracle:
+    """The one-pass splitter and report give exactly the seed's results."""
+
+    CASES = [
+        *PASSAGES.values(),
+        "", " ", "\n\t \u00a0", "...", "?!", "Dr.", "Dr. Kim left.", "e.g. this. And that!  ",
+        "Wait... what?! Yes. ", "No terminal", "One. Two.   \n", "٣ apples. ١٢٣ pears?",
+    ]
+
+    def test_fixed_cases(self):
+        for text in self.CASES:
+            assert split_sentences(text) == seed_split_sentences(text), text
+            assert outcome(passage_report, text) == outcome(seed_passage_report, text), text
+
+    def test_seeded_random_texts(self):
+        rng = random.Random(5150)
+        raised = 0
+        for _ in range(3000):
+            text = oracle_text(rng)
+            assert split_sentences(text) == seed_split_sentences(text), repr(text)
+            expected = outcome(seed_passage_report, text)
+            assert outcome(passage_report, text) == expected, repr(text)
+            raised += isinstance(expected, tuple)
+        assert 0 < raised < 3000  # both the error and the report paths are covered
 
 
 class TestCorpusSummary:
