@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from .corpus import BloomLevel
 from .errors import GatewayError, ValidationError
-from .fileio import read_json, write_json
+from .fileio import atomic_write_text, read_json
 from .gateway import Gateway, PromptTemplate
 from .pipeline import (
     Exchange,
@@ -378,6 +378,11 @@ class ReviewQueue:
         self.entries: dict[str, QueueEntry] = {e.record_id: e for e in entries}
         self.path = Path(path)
         self.log: list[ReviewDecision] = list(log)
+        # Encoded fragments of the saved document: one per entry, by record
+        # id, and one per decision of ``log``. Entries change only through
+        # ``apply``, which drops the entry's fragment; the log only grows.
+        self._entry_json: dict[str, str] = {}
+        self._log_json: list[str] = []
 
     @classmethod
     def open_new(
@@ -420,12 +425,24 @@ class ReviewQueue:
         )
 
     def save(self) -> None:
-        write_json(
+        """Write the queue as ``write_json`` would, re-encoding only what changed.
+
+        Only entries changed by ``apply`` since the last save, and decisions
+        appended to the log since then, are encoded again; the rest of the
+        document is reused. The file is still rewritten whole and atomically.
+        """
+        entries = []
+        for record_id, entry in self.entries.items():
+            text = self._entry_json.get(record_id)
+            if text is None:
+                text = self._entry_json[record_id] = _nested_json(entry.to_dict())
+            entries.append(text)
+        for decision in self.log[len(self._log_json):]:
+            self._log_json.append(_nested_json(decision.to_dict()))
+        atomic_write_text(
             self.path,
-            {
-                "entries": [entry.to_dict() for entry in self.entries.values()],
-                "log": [decision.to_dict() for decision in self.log],
-            },
+            '{\n  "entries": ' + _json_list(entries)
+            + ',\n  "log": ' + _json_list(self._log_json) + "\n}\n",
         )
 
     def pending(self) -> list[QueueEntry]:
@@ -455,6 +472,7 @@ class ReviewQueue:
             entry.passage = decision.new_passage
         entry.decision = decision
         self.log.append(decision)
+        self._entry_json.pop(entry.record_id, None)
         return entry
 
     def replay(self, decisions: Sequence[ReviewDecision]) -> "ReviewQueue":
@@ -477,6 +495,22 @@ class ReviewQueue:
         for decision in decisions:
             fresh.apply(decision)
         return fresh
+
+
+def _nested_json(obj: Any) -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` prints it two levels deep in a document.
+
+    Encoded JSON strings hold no raw newline, so every newline is a line
+    break of the layout and indenting after each one is exact.
+    """
+    return json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n    ")
+
+
+def _json_list(items: Sequence[str]) -> str:
+    """A list of fragments from ``_nested_json`` as a value one level deep."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 class QueueLock:

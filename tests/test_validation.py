@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -277,6 +279,76 @@ class TestReviewQueue:
         path.write_text(json.dumps(data))
         with pytest.raises(FlaggedQuestionError):
             ReviewQueue.load(path)
+
+    QUEUE_TEXTS = [
+        "Plain passage. Two sentences.",
+        "Café «naïve» — 東京 ١٢٣!",
+        'He said "hi" \\ then\nleft.\r\n',
+        "tab\there\u2028line separator\u00a0done",
+        "{\"entries\": []}\n  ],",
+    ]
+
+    @staticmethod
+    def full_encoding(queue):
+        return json.dumps(
+            {"entries": [entry.to_dict() for entry in queue.entries.values()],
+             "log": [decision.to_dict() for decision in queue.log]},
+            ensure_ascii=False, indent=2,
+        ) + "\n"
+
+    def random_decision(self, rng, entry):
+        verdict = rng.choice(["accept", "edit", "reject"])
+        flags = sorted(rng.sample(range(len(entry.questions)),
+                                  rng.randint(0, len(entry.questions))))
+        return self.decision(
+            entry.record_id, verdict,
+            new_passage=rng.choice(self.QUEUE_TEXTS) if verdict == "edit" else None,
+            reason=rng.choice(self.QUEUE_TEXTS) if verdict == "reject" else None,
+            unanswerable_questions=tuple(flags),
+        )
+
+    def test_every_save_equals_the_full_encoding(self, tmp_path):
+        # Only changed entries are re-encoded; the file must still be exactly
+        # what encoding the whole queue writes, after every save.
+        rng = random.Random(31337)
+        for session in range(80):
+            path = tmp_path / f"q{session}.json"
+            records = [
+                dataclasses.replace(
+                    complete_record(rng.choice([f"r{i}", f'r{i} "é"\\']), rng.randint(1, 5)),
+                    transcreated_passage=rng.choice(self.QUEUE_TEXTS),
+                )
+                for i in range(rng.choice([0, 1, 2, 5]))
+            ]
+            queue = ReviewQueue.open_new(records, path)
+            assert path.read_text(encoding="utf-8") == self.full_encoding(queue)
+            while queue.pending():
+                for entry in rng.sample(queue.pending(), rng.randint(1, len(queue.pending()))):
+                    queue.apply(self.random_decision(rng, entry))
+                    if rng.random() < 0.7:
+                        break
+                queue.save()
+                if rng.random() < 0.2:
+                    queue.save()  # nothing changed
+                assert path.read_text(encoding="utf-8") == self.full_encoding(queue)
+                if rng.random() < 0.3:
+                    # A loaded queue saves the identical file, and goes on from there.
+                    before = path.read_bytes()
+                    queue = ReviewQueue.load(path)
+                    queue.save()
+                    assert path.read_bytes() == before
+            assert len(queue.log) == len(records)
+
+    def test_load_then_save_rewrites_an_identical_file(self, tmp_path):
+        path = tmp_path / "q.json"
+        queue = ReviewQueue.open_new(self.records(3), path)
+        queue.apply(self.decision("r2", "edit", new_passage="Nouveau «texte». Fini!"))
+        queue.apply(self.decision("r1", "reject", reason='says "no"',
+                                  unanswerable_questions=(0, 4)))
+        queue.save()
+        before = path.read_bytes()
+        ReviewQueue.load(path).save()
+        assert path.read_bytes() == before
 
     def test_lock_excludes_second_session(self, tmp_path):
         path = tmp_path / "q.json"
