@@ -211,17 +211,24 @@ def cmd_judge(args: argparse.Namespace) -> int:
 
 
 def cmd_review(args: argparse.Namespace) -> int:
+    records = None
     if args.in_path:
         records = pipeline.load_records(args.in_path)
         if not records:
             _log("warning: no records; opening an empty queue")
-        queue = validation.ReviewQueue.open_new(records, args.queue, force=args.force)
-        _log(f"opened queue with {len(queue.entries)} entries at {args.queue}")
-    else:
-        queue = validation.ReviewQueue.load(args.queue)
-    if args.open_only:
-        return EXIT_OK
+        Path(args.queue).parent.mkdir(parents=True, exist_ok=True)
+    elif not Path(args.queue).exists():
+        raise FileNotFoundError(f"queue file not found: {args.queue}")
+    # Locked before the queue is created or read, so a refused session
+    # leaves another session's queue file as it was.
     with validation.QueueLock(args.queue):
+        if records is not None:
+            queue = validation.ReviewQueue.open_new(records, args.queue, force=args.force)
+            _log(f"opened queue with {len(queue.entries)} entries at {args.queue}")
+        else:
+            queue = validation.ReviewQueue.load(args.queue)
+        if args.open_only:
+            return EXIT_OK
         decided = validation.run_review_session(
             queue, args.reviewer, sys.stdin, sys.stdout
         )

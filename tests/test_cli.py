@@ -12,6 +12,7 @@ from conftest import BLOOM_CYCLE, build_mock_script, make_question
 from transcreate import cli
 from transcreate.corpus import ReadingItem, save_items
 from transcreate.pipeline import load_records
+from transcreate.validation import QueueLock
 
 
 @pytest.fixture
@@ -234,6 +235,19 @@ class TestReviewAndQaCommands:
         assert run(argv) == 0
         assert run(argv) == 3
         assert run(argv + ["--force"]) == 0
+
+    @pytest.mark.parametrize("extra", [["--force"], ["--force", "--open-only"]])
+    def test_refused_session_leaves_queue_untouched(self, workdir, monkeypatch, extra):
+        run(transcreate_argv(workdir))
+        queue_path = workdir / "queue.json"
+        argv = ["review", "--queue", queue_path, "--in", workdir / "out.jsonl"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\n\nq\n"))
+        assert run(argv) == 0
+        before = queue_path.read_bytes()
+        assert len(json.loads(before)["log"]) == 1
+        with QueueLock(queue_path):  # a live session holds the queue
+            assert run(argv + extra) == 3
+        assert queue_path.read_bytes() == before
 
 
 def student_records_payload():
