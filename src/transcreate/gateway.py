@@ -348,14 +348,14 @@ class Gateway:
     def complete_ex(self, request: CompletionRequest, step: str | None = None) -> CompletionResult:
         """Run one completion; transient failures retry with exponential backoff."""
         start = time.monotonic()
-        last: GatewayError | None = None
+        # No error outlives its ``except`` block: a kept error's traceback
+        # would hold this frame, a cycle left for the collector.
         for attempt in range(self.max_retries + 1):
             try:
                 # Held for the send only, never across a backoff sleep.
                 with self._slots:
                     text = self.backend.send(request, step)
             except GatewayError as exc:
-                last = exc
                 if _is_transient(exc) and attempt < self.max_retries:
                     delay = self._backoff(attempt)
                     if delay > 0:
@@ -369,7 +369,8 @@ class Gateway:
             latency = time.monotonic() - start
             self._log(step, request, text, attempt + 1, latency)
             return CompletionResult(text=text, attempts=attempt + 1, latency_s=latency)
-        raise RetriesExhaustedError(self.max_retries + 1, last or GatewayError("no attempt"))
+        # Reached only with max_retries < 0, when no attempt was made.
+        raise RetriesExhaustedError(self.max_retries + 1, GatewayError("no attempt"))
 
     def complete(self, request: CompletionRequest, step: str | None = None) -> str:
         return self.complete_ex(request, step).text

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -106,8 +108,31 @@ class TestMockBackend:
     def test_retries_exhausted(self):
         script = {"step": [{"error": "timeout"}] * 4}
         gateway = Gateway(MockBackend(script), max_retries=3, backoff_base_s=0)
-        with pytest.raises(RetriesExhaustedError):
+        with pytest.raises(RetriesExhaustedError) as err:
             gateway.complete(request(), step="step")
+        assert err.value.attempts == 4
+        assert isinstance(err.value.last, GatewayTimeoutError)
+
+    def test_retried_error_leaves_no_frame_cycles(self):
+        # A kept transport error would hold the gateway's frame, and through
+        # it the request, until the cycle collector happened to run.
+        script = {"step": [{"error": "timeout"}, "ok"]}
+        gateway = Gateway(MockBackend(script), max_retries=3, backoff_base_s=0)
+        gc.collect()
+        gc.disable()
+        try:
+            assert gateway.complete(request(), step="step") == "ok"
+            del gateway
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            frames = [obj.f_code.co_name for obj in gc.garbage
+                      if isinstance(obj, types.FrameType)
+                      and "transcreate" in obj.f_code.co_filename]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert frames == []
 
     def test_non_transient_http_not_retried(self):
         script = {"step": [{"error": "http", "status": 400}, "never"]}
