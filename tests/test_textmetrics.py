@@ -139,9 +139,9 @@ class TestPassageReport:
             assert (report.ttr == 1.0) == distinct
 
 
-# The seed's character-by-character sentence splitter and set-based report,
+# The earlier character-by-character sentence splitter and set-based report,
 # kept as the reference for the one-pass versions.
-def seed_split_sentences(text):
+def reference_split_sentences(text):
     if not text.strip():
         return []
     spans = []
@@ -161,9 +161,9 @@ def seed_split_sentences(text):
     return spans
 
 
-def seed_passage_report(text):
+def reference_passage_report(text):
     words = tokenize_words(text)
-    sentences = seed_split_sentences(text)
+    sentences = reference_split_sentences(text)
     if not words or not sentences:
         raise EmptyPassageError("passage has no words")
     syllables = sum(count_syllables(word) for word in words)
@@ -207,8 +207,8 @@ def outcome(func, text):
         return ("EmptyPassageError", str(exc))
 
 
-class TestSeedOracle:
-    """The one-pass splitter and report give exactly the seed's results."""
+class TestReferenceOracle:
+    """The one-pass splitter and report give exactly the earlier results."""
 
     CASES = [
         *PASSAGES.values(),
@@ -218,16 +218,16 @@ class TestSeedOracle:
 
     def test_fixed_cases(self):
         for text in self.CASES:
-            assert split_sentences(text) == seed_split_sentences(text), text
-            assert outcome(passage_report, text) == outcome(seed_passage_report, text), text
+            assert split_sentences(text) == reference_split_sentences(text), text
+            assert outcome(passage_report, text) == outcome(reference_passage_report, text), text
 
     def test_seeded_random_texts(self):
         rng = random.Random(5150)
         raised = 0
         for _ in range(3000):
             text = oracle_text(rng)
-            assert split_sentences(text) == seed_split_sentences(text), repr(text)
-            expected = outcome(seed_passage_report, text)
+            assert split_sentences(text) == reference_split_sentences(text), repr(text)
+            expected = outcome(reference_passage_report, text)
             assert outcome(passage_report, text) == expected, repr(text)
             raised += isinstance(expected, tuple)
         assert 0 < raised < 3000  # both the error and the report paths are covered
