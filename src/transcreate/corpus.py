@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import ValidationError
-from .fileio import read_jsonl, write_jsonl
+from .fileio import write_jsonl
 
 TOPIC_CODE_RE = re.compile(r"^\d\.[a-z]$")
 

@@ -1,4 +1,4 @@
-"""Small file helpers: atomic writes and JSONL round trips."""
+"""Small file helpers: atomic writes, JSONL output and JSON round trips."""
 
 from __future__ import annotations
 
@@ -33,20 +33,6 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
     """Atomically write one JSON object per line."""
     lines = [json.dumps(row, ensure_ascii=False) for row in rows]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
-    """Yield ``(line_no, parsed_object)`` pairs; blank lines are skipped.
-
-    Raises FileNotFoundError if the file is missing and json.JSONDecodeError
-    for malformed lines (callers wrap these into domain errors).
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            yield line_no, json.loads(line)
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -28,7 +28,7 @@ from .corpus import (
     UnknownTopicError,
 )
 from .errors import GatewayError, ValidationError
-from .fileio import read_jsonl, write_jsonl
+from .fileio import write_jsonl
 from .gateway import CompletionRequest, Gateway, PromptTemplate, load_prompt_dir, render_template
 from .textmetrics import tokenize_words
 
@@ -39,6 +39,11 @@ STEP_NAMES = {
     4: "transcreate_passage",
     5: "transcreate_questions",
 }
+ANALYSIS_STEPS = tuple(STEP_NAMES[n] for n in (1, 2, 3))
+
+# Version mark of a records line that refers to an earlier line (``same_as``);
+# lines without one are format 1, which format 2 only extends.
+RECORDS_FORMAT = 2
 
 TAG_TOKEN_RE = re.compile(r"\[\[T:(.*?)\]\]")
 _SENTENCE_TERMINALS = frozenset(".!?")
@@ -350,38 +355,68 @@ class TranscreationRecord:
             return self.source.id
         return f"{self.source.id}:{self.student_id}"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "source": self.source.to_dict(),
-            "student_id": self.student_id,
-            "assignment_mode": self.assignment_mode,
-            "extracted_topic": self.extracted_topic,
-            "question_blooms": (
+    def to_dict(self, same_as: str | None = None) -> dict[str, Any]:
+        """The record as a records-file line.
+
+        With ``same_as``, the record id of an earlier line with the same
+        source and steps 1-3 exchanges, the line refers to that line instead
+        of repeating them, and carries ``"format": 2``.
+        """
+        out: dict[str, Any] = {"record_id": self.record_id}
+        if same_as is None:
+            out["source"] = self.source.to_dict()
+        else:
+            out["format"] = RECORDS_FORMAT
+            out["same_as"] = same_as
+        out.update(
+            student_id=self.student_id,
+            assignment_mode=self.assignment_mode,
+            extracted_topic=self.extracted_topic,
+            question_blooms=(
                 [b.value for b in self.question_blooms] if self.question_blooms else None
             ),
-            "tagged_source": self.tagged_source.to_dict() if self.tagged_source else None,
-            "target_topic": self.target_topic,
-            "topic_unchanged": self.topic_unchanged,
-            "transcreated_passage": self.transcreated_passage,
-            "transcreated_questions": (
+            tagged_source=self.tagged_source.to_dict() if self.tagged_source else None,
+            target_topic=self.target_topic,
+            topic_unchanged=self.topic_unchanged,
+            transcreated_passage=self.transcreated_passage,
+            transcreated_questions=(
                 [q.to_dict() for q in self.transcreated_questions]
                 if self.transcreated_questions
                 else None
             ),
-            "step_exchanges": {
+            step_exchanges={
                 step: [e.to_dict() for e in exchanges]
                 for step, exchanges in self.step_exchanges.items()
+                if same_as is None or step not in ANALYSIS_STEPS
             },
-            "status": self.status.to_dict(),
-        }
+            status=self.status.to_dict(),
+        )
+        return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TranscreationRecord":
+    def from_dict(
+        cls, data: Mapping[str, Any], same_as: "TranscreationRecord | None" = None
+    ) -> "TranscreationRecord":
+        """The inverse of :meth:`to_dict`.
+
+        With ``same_as``, the record that ``data`` refers to, the record
+        shares its source and its steps 1-3 exchanges, in new lists.
+        """
         blooms = data.get("question_blooms")
         questions = data.get("transcreated_questions")
+        exchanges = data.get("step_exchanges", {})
+        if same_as is None:
+            source = ReadingItem.from_dict(data["source"])
+            step_exchanges = {}
+        else:
+            if "source" in data or not set(ANALYSIS_STEPS).isdisjoint(exchanges):
+                raise ValueError("a same_as line repeats its source or steps 1-3 exchanges")
+            source = same_as.source
+            step_exchanges = {name: list(same_as.step_exchanges[name]) for name in ANALYSIS_STEPS}
+        for step, entries in exchanges.items():
+            step_exchanges[step] = [Exchange.from_dict(e) for e in entries]
         return cls(
-            source=ReadingItem.from_dict(data["source"]),
+            source=source,
             target_topic=data["target_topic"],
             student_id=data.get("student_id"),
             assignment_mode=data.get("assignment_mode"),
@@ -395,33 +430,92 @@ class TranscreationRecord:
                 tuple(Question.from_dict(q) for q in questions) if questions else None
             ),
             topic_unchanged=data.get("topic_unchanged", False),
-            step_exchanges={
-                step: [Exchange.from_dict(e) for e in exchanges]
-                for step, exchanges in data.get("step_exchanges", {}).items()
-            },
+            step_exchanges=step_exchanges,
             status=RecordStatus.from_dict(data["status"]),
         )
 
+    def analysis_exchanges(self) -> list[list[Exchange]] | None:
+        """The steps 1-3 exchange lists, or ``None`` unless the record's
+        exchanges start with exactly those steps, as every pipeline record's do."""
+        if tuple(self.step_exchanges)[:3] != ANALYSIS_STEPS:
+            return None
+        return [self.step_exchanges[name] for name in ANALYSIS_STEPS]
+
 
 def save_records(records: Iterable[TranscreationRecord], path: str | Path) -> None:
-    """Write records as JSONL, atomically (temp file + rename)."""
-    write_jsonl(path, (record.to_dict() for record in records))
+    """Write records as JSONL, one line per record in order, atomically.
+
+    A record whose source and steps 1-3 exchanges equal those of an earlier
+    line is written with a reference to that line in their place (see
+    :meth:`TranscreationRecord.to_dict`); every other field is written in
+    full on every line.
+    """
+    latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
+    in_full: dict[str, dict[str, None]] = {}  # item id -> record ids written in full
+    rows = []
+    for record in records:
+        record_id = record.record_id
+        analysis = record.analysis_exchanges()
+        same_as = None
+        if analysis is not None:
+            for candidate in in_full.get(record.source.id, ()):
+                earlier = latest[candidate]
+                if earlier.source == record.source and earlier.analysis_exchanges() == analysis:
+                    same_as = candidate
+                    break
+        if same_as is None:
+            in_full.setdefault(record.source.id, {})[record_id] = None
+        latest[record_id] = record
+        rows.append(record.to_dict(same_as))
+    write_jsonl(path, rows)
 
 
 def load_records(path: str | Path) -> list[TranscreationRecord]:
+    """Read a records file; lines without a ``format`` mark are format 1.
+
+    A ``"format": 2`` line takes its source and steps 1-3 exchanges from
+    the nearest earlier line whose record id its ``same_as`` names. A
+    malformed line, or a reference to no earlier line, raises
+    :class:`ValidationError` naming ``path:line``.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
-    records = []
-    try:
-        for line_no, data in read_jsonl(path):
+    records: list[TranscreationRecord] = []
+    latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
             try:
-                records.append(TranscreationRecord.from_dict(data))
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(
+                    f"{path}:{line_no}: not valid JSON: {exc.msg} at column {exc.colno}"
+                ) from exc
+            try:
+                record = _record_from_line(data, latest)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{line_no}: bad record: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSONL: {exc}") from exc
+            latest[record.record_id] = record
+            records.append(record)
     return records
+
+
+def _record_from_line(
+    data: Any, latest: Mapping[str, TranscreationRecord]
+) -> TranscreationRecord:
+    if not isinstance(data, dict):
+        raise TypeError("a record must be a JSON object")
+    version = data.get("format", 1)
+    if version == 1:
+        return TranscreationRecord.from_dict(data)
+    if version != RECORDS_FORMAT:
+        raise ValueError(f"unknown records format {version!r}")
+    same_as = data["same_as"]
+    if not isinstance(same_as, str) or same_as not in latest:
+        raise ValueError(f"same_as {same_as!r} names no earlier record")
+    return TranscreationRecord.from_dict(data, same_as=latest[same_as])
 
 
 def default_prompt_dir() -> Path:

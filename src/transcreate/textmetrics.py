@@ -24,7 +24,8 @@ FRES_SYLLABLE_WEIGHT = 84.6
 VOWELS = frozenset("aeiouy")
 
 # Maximal runs of letters, digits, and apostrophes; everything else splits.
-_TOKEN_RE = re.compile(r"(?:[^\W\d_]|\d|['’])+")
+# ``[^\W_]`` is ``\w`` without the underscore: Unicode letters and digits.
+_TOKEN_RE = re.compile(r"(?:[^\W_]|['’])+")
 
 _SENTENCE_TERMINAL_RE = re.compile(r"[.!?]")
 

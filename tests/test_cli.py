@@ -11,7 +11,7 @@ import pytest
 from conftest import BLOOM_CYCLE, build_mock_script, make_question
 from transcreate import cli
 from transcreate.corpus import ReadingItem, save_items
-from transcreate.pipeline import load_records
+from transcreate.pipeline import load_records, save_records
 from transcreate.validation import QueueLock
 
 
@@ -377,8 +377,13 @@ class TestConfigPrecedence:
 
 
 class TestGoldenDigests:
-    """Mock outputs are pinned byte for byte: records, judge JSON, request log."""
+    """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 
+    Records digests other than ``RECORDS_V2_SHA256`` are of the records as
+    format 1 wrote them, every line in full (see :func:`v1_rendering`).
+    """
+
+    RECORDS_V2_SHA256 = "62fb892489ef228b3684649ab0d5e0c0e09a44cb5d6706a109061e0717064b7d"
     RECORDS_SHA256 = "8bc80fd10e18075425865d98f6977b2b3412a0bb70ce164e8aeaa2c55156dc00"
     JUDGE_SHA256 = "4a1a601d91d4b77bdeb339b8b6770691f6eb5af3af60e3e31bfc23d4bee4133f"
     LOG_SHA256 = "3522bb49992d744a253821c37584110f66c2011a596311be17143abfc1d28e36"
@@ -412,7 +417,8 @@ class TestGoldenDigests:
         assert run(["judge", "--in", workdir / "out.jsonl", "--out", workdir / "verdicts.json",
                     "--mock", workdir / "judge.json", "--log", log]) == 0
 
-        lines = (workdir / "out.jsonl").read_bytes().splitlines(keepends=True)
+        records = v1_rendering(workdir / "out.jsonl")
+        lines = records.splitlines(keepends=True)
         assert len(lines) == 8
         assert digest(b"".join(lines[:4])) == self.S1_RECORDS_SHA256
         s1, s2 = [json.loads(line) for line in lines[:4]], [json.loads(line) for line in lines[4:]]
@@ -430,7 +436,16 @@ class TestGoldenDigests:
         # Steps 1-3 once per item, steps 4-5 per record, two rejected
         # replies, then the judge's 40 questions and one rejected reply.
         assert len(log_lines) == 4 * (1 + 5 + 1) + 8 * 2 + 2 + 41
-        assert digest((workdir / "out.jsonl").read_bytes()) == self.RECORDS_SHA256
+        assert digest(records) == self.RECORDS_SHA256
+        # Each s2 record refers to the s1 record of its item.
+        raw = (workdir / "out.jsonl").read_bytes()
+        assert [json.loads(line).get("same_as") for line in raw.splitlines()] == (
+            [None] * 4 + [f"{item.id}:s1" for item in fixture_items])
+        assert digest(raw) == self.RECORDS_V2_SHA256
+        # Format 1 -> load -> save gives the same file.
+        (workdir / "v1.jsonl").write_bytes(records)
+        save_records(load_records(workdir / "v1.jsonl"), workdir / "v2.jsonl")
+        assert (workdir / "v2.jsonl").read_bytes() == raw
         assert digest((workdir / "verdicts.json").read_bytes()) == self.JUDGE_SHA256
         assert digest("\n".join(log_lines).encode("utf-8")) == self.LOG_SHA256
 
@@ -440,7 +455,13 @@ class TestGoldenDigests:
         script = build_mock_script(fixture_items, repeats=2)
         (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
         assert run(transcreate_argv(workdir)) == 0
-        assert digest((workdir / "out.jsonl").read_bytes()) == self.CLEAN_RECORDS_SHA256
+        assert digest(v1_rendering(workdir / "out.jsonl")) == self.CLEAN_RECORDS_SHA256
+
+
+def v1_rendering(path) -> bytes:
+    """A records file as format 1 wrote it: each loaded record in full, one per line."""
+    return "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+                   for record in load_records(path)).encode("utf-8")
 
 
 def digest(data: bytes) -> str:

@@ -10,6 +10,7 @@ import threading
 import time
 import types
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,12 +25,14 @@ from conftest import (
     themed_passage_reply,
 )
 from transcreate.corpus import BloomLevel, UnknownTopicError
+from transcreate.errors import ValidationError
 from transcreate.gateway import Gateway
 from transcreate.pipeline import (
     InvalidBloomReplyError,
     InvalidTopicReplyError,
     LengthViolationError,
     MissingProfileError,
+    STEP_NAMES,
     RoundTripViolationError,
     StructureViolationError,
     TagInsertion,
@@ -505,6 +508,146 @@ class TestTranscreateMany:
         assert backend.rewrites == {"r1": 3, "r3": 3}
         assert all(r.status.is_complete for r in records if r.source.id != "r2")
         assert backend.calls["tag_features"] == 1 + 4 + 1
+
+
+class TestRecordsFile:
+    """Records after an item's first refer to it instead of repeating its
+    source and steps 1-3 exchanges; files without references still load."""
+
+    def cohort(self, items, taxonomy, tagset, **backend_kwargs):
+        return TestTranscreateMany().run(items, taxonomy, tagset, jobs=1, **backend_kwargs)[0]
+
+    @staticmethod
+    def lines(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    @staticmethod
+    def write_v1(records, path):
+        # What format 1 wrote: every record in full.
+        path.write_text("".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n"
+                                for r in records), encoding="utf-8")
+
+    def test_later_records_of_an_item_refer_to_its_first(self, taxonomy, tagset,
+                                                         fixture_items, tmp_path):
+        records = self.cohort(fixture_items[:2], taxonomy, tagset)
+        path = tmp_path / "records.jsonl"
+        save_records(records, path)
+        lines = self.lines(path)
+        assert [line["record_id"] for line in lines] == [r.record_id for r in records]
+        assert [line.get("same_as") for line in lines] == [None, "r1:s1", "r1:s1",
+                                                           None, "r2:s1", "r2:s1"]
+        for line, record in zip(lines, records):
+            referring = "same_as" in line
+            assert ("source" in line) != referring
+            assert line.get("format") == (2 if referring else None)
+            steps = list(STEP_NAMES.values())[3 if referring else 0:]
+            assert list(line["step_exchanges"]) == steps
+            # Every other field is on every line.
+            assert line["tagged_source"] == record.tagged_source.to_dict()
+        v1 = tmp_path / "v1.jsonl"
+        self.write_v1(records, v1)
+        assert path.stat().st_size < v1.stat().st_size
+        assert [r.to_dict() for r in load_records(path)] == [r.to_dict() for r in records]
+
+    def test_v1_file_loads_and_round_trips(self, taxonomy, tagset, fixture_items, tmp_path):
+        records = self.cohort(fixture_items[:2], taxonomy, tagset)
+        v1 = tmp_path / "v1.jsonl"
+        self.write_v1(records, v1)
+        loaded = load_records(v1)
+        assert loaded == records
+        v2 = tmp_path / "v2.jsonl"
+        save_records(loaded, v2)
+        assert load_records(v2) == records
+        again = tmp_path / "again.jsonl"
+        self.write_v1(load_records(v2), again)
+        assert again.read_bytes() == v1.read_bytes()
+
+    def test_loaded_records_share_objects_in_their_own_lists(self, taxonomy, tagset,
+                                                             fixture_items, tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_records(self.cohort(fixture_items[:1], taxonomy, tagset), path)
+        first, second, third = load_records(path)
+        assert second.source is first.source
+        for name in ("extract_topic", "classify_question", "tag_features"):
+            assert second.step_exchanges[name] is not first.step_exchanges[name]
+            assert all(a is b for a, b in zip(second.step_exchanges[name],
+                                              first.step_exchanges[name], strict=True))
+        kept = [dict((k, list(v)) for k, v in r.step_exchanges.items()) for r in (first, third)]
+        second.step_exchanges["tag_features"].clear()
+        second.step_exchanges["classify_question"].append(first.step_exchanges["extract_topic"][0])
+        assert [first.step_exchanges, third.step_exchanges] == kept
+
+    def test_differing_analysis_or_source_is_written_in_full(self, taxonomy, tagset,
+                                                            fixture_items, tmp_path):
+        records = self.cohort(fixture_items[:1], taxonomy, tagset)
+        # The second student's levels were asked again; the third's item
+        # carries other metadata under the same id.
+        records[1].step_exchanges["classify_question"] = (
+            records[1].step_exchanges["classify_question"][:2])
+        records[2].source = replace(records[2].source, metadata={"grade": "C"})
+        # Equal exchanges are enough; they need not be the same objects.
+        records.append(self.cohort(fixture_items[:1], taxonomy, tagset)[1])
+        path = tmp_path / "records.jsonl"
+        save_records(records, path)
+        assert [line.get("same_as") for line in self.lines(path)] == [None, None, None, "r1:s1"]
+        assert load_records(path) == records
+
+    def test_failed_analysis_shares_its_exchanges(self, taxonomy, tagset, fixture_items,
+                                                  tmp_path):
+        records = self.cohort(fixture_items[:2], taxonomy, tagset, broken_tagging={"r2"})
+        assert [r.status.step for r in records] == [None] * 3 + [3] * 3
+        path = tmp_path / "records.jsonl"
+        save_records(records, path)
+        lines = self.lines(path)
+        assert [line.get("same_as") for line in lines[3:]] == [None, "r2:s1", "r2:s1"]
+        assert all(line["status"]["step"] == 3 for line in lines[3:])
+        assert load_records(path) == records
+
+    def test_duplicate_record_ids_round_trip(self, taxonomy, tagset, fixture_items, tmp_path):
+        records = self.cohort(fixture_items[:2], taxonomy, tagset)
+        # r1:s1 again with other levels, then as at first: it must not be
+        # taken for the other r1:s1, the latest line of that id.
+        altered = replace(records[0], step_exchanges=dict(records[0].step_exchanges))
+        altered.step_exchanges["classify_question"] = []
+        records = records + [altered, records[0]] + records
+        path = tmp_path / "records.jsonl"
+        save_records(records, path)
+        assert [line.get("same_as") for line in self.lines(path)[6:9]] == [None, None, "r1:s1"]
+        assert load_records(path) == records
+
+    @pytest.mark.parametrize("bad_line, reason", [
+        ({"same_as": "r9:s1"}, "same_as 'r9:s1' names no earlier record"),
+        ({"same_as": "r1:s2"}, "same_as 'r1:s2' names no earlier record"),  # a later line
+        ({"same_as": ["r1:s1"]}, "same_as ['r1:s1'] names no earlier record"),
+        ({"same_as": "r1:s1", "format": 3}, "unknown records format 3"),
+        ({"same_as": "r1:s1", "source": None}, "repeats its source"),
+    ])
+    def test_bad_reference_names_its_line(self, taxonomy, tagset, fixture_items, tmp_path,
+                                          bad_line, reason):
+        path = tmp_path / "records.jsonl"
+        save_records(self.cohort(fixture_items[:1], taxonomy, tagset), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        data = json.loads(lines[1])
+        data.update({"format": 2, **bad_line})
+        lines[1] = json.dumps(data)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_records(path)
+        assert str(info.value).startswith(f"{path}:2: bad record: ")
+        assert reason in str(info.value)
+
+    def test_malformed_json_names_the_file_line(self, taxonomy, tagset, fixture_items,
+                                                tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_records(self.cohort(fixture_items[:1], taxonomy, tagset)[:1], path)
+        good = path.read_text(encoding="utf-8")
+        path.write_text(good + "\n" + '{"record_id": "r1:s2",\n', encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_records(path)
+        assert str(info.value).startswith(f"{path}:3: not valid JSON: ")
+        path.write_text(good + "[1, 2]\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r":2: bad record: a record must be"):
+            load_records(path)
 
 
 class TestAssignTopics:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -37,6 +38,18 @@ class TestTokenize:
 
     def test_digits_included(self):
         assert tokenize_words("Room 101 beckons") == ["room", "101", "beckons"]
+
+    def test_same_code_points_as_the_reference_pattern(self):
+        # Every code point once, in order, so equal matches mean the same
+        # set of word characters and the same runs.
+        every = "".join(map(chr, range(0x110000)))
+        tokens = textmetrics._TOKEN_RE.findall(every)
+        assert tokens == REFERENCE_TOKEN_RE.findall(every)
+        assert "'" in tokens and "’" in tokens and "_" not in "".join(tokens)
+
+
+# The word pattern before it was simplified, kept as the oracle.
+REFERENCE_TOKEN_RE = re.compile(r"(?:[^\W\d_]|\d|['’])+")
 
 
 class TestSplitSentences:
