@@ -434,12 +434,13 @@ class TranscreationRecord:
             status=RecordStatus.from_dict(data["status"]),
         )
 
-    def analysis_exchanges(self) -> list[list[Exchange]] | None:
-        """The steps 1-3 exchange lists, or ``None`` unless the record's
-        exchanges start with exactly those steps, as every pipeline record's do."""
-        if tuple(self.step_exchanges)[:3] != ANALYSIS_STEPS:
-            return None
-        return [self.step_exchanges[name] for name in ANALYSIS_STEPS]
+
+def _analysis_exchanges(record: TranscreationRecord) -> list[list[Exchange]] | None:
+    """The record's steps 1-3 exchange lists, or ``None`` unless its exchanges
+    start with exactly those steps, as every pipeline record's do."""
+    if tuple(record.step_exchanges)[:3] != ANALYSIS_STEPS:
+        return None
+    return [record.step_exchanges[name] for name in ANALYSIS_STEPS]
 
 
 def save_records(records: Iterable[TranscreationRecord], path: str | Path) -> None:
@@ -455,12 +456,12 @@ def save_records(records: Iterable[TranscreationRecord], path: str | Path) -> No
     rows = []
     for record in records:
         record_id = record.record_id
-        analysis = record.analysis_exchanges()
+        analysis = _analysis_exchanges(record)
         same_as = None
         if analysis is not None:
             for candidate in in_full.get(record.source.id, ()):
                 earlier = latest[candidate]
-                if earlier.source == record.source and earlier.analysis_exchanges() == analysis:
+                if earlier.source == record.source and _analysis_exchanges(earlier) == analysis:
                     same_as = candidate
                     break
         if same_as is None:
