@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
     BloomLevel,
@@ -451,9 +451,12 @@ def save_records(records: Iterable[TranscreationRecord], path: str | Path) -> No
     :meth:`TranscreationRecord.to_dict`); every other field is written in
     full on every line.
     """
+    write_jsonl(path, _record_lines(records))
+
+
+def _record_lines(records: Iterable[TranscreationRecord]) -> Iterator[dict[str, Any]]:
     latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
     in_full: dict[str, dict[str, None]] = {}  # item id -> record ids written in full
-    rows = []
     for record in records:
         record_id = record.record_id
         analysis = _analysis_exchanges(record)
@@ -467,8 +470,7 @@ def save_records(records: Iterable[TranscreationRecord], path: str | Path) -> No
         if same_as is None:
             in_full.setdefault(record.source.id, {})[record_id] = None
         latest[record_id] = record
-        rows.append(record.to_dict(same_as))
-    write_jsonl(path, rows)
+        yield record.to_dict(same_as)
 
 
 def load_records(path: str | Path) -> list[TranscreationRecord]:

@@ -605,14 +605,17 @@ class TestRecordsFile:
 
     def test_duplicate_record_ids_round_trip(self, taxonomy, tagset, fixture_items, tmp_path):
         records = self.cohort(fixture_items[:2], taxonomy, tagset)
-        # r1:s1 again with other levels, then as at first: it must not be
-        # taken for the other r1:s1, the latest line of that id.
+        # r1:s1 again with other levels, then r1:s2 with those levels and
+        # r1:s1 as at first: "r1:s1" now names the nearest line of that id.
         altered = replace(records[0], step_exchanges=dict(records[0].step_exchanges))
         altered.step_exchanges["classify_question"] = []
-        records = records + [altered, records[0]] + records
+        like_altered = replace(altered, student_id="s2",
+                               step_exchanges=dict(altered.step_exchanges))
+        records = records + [altered, like_altered, records[0]] + records
         path = tmp_path / "records.jsonl"
         save_records(records, path)
-        assert [line.get("same_as") for line in self.lines(path)[6:9]] == [None, None, "r1:s1"]
+        assert [line.get("same_as") for line in self.lines(path)[6:10]] == [
+            None, "r1:s1", None, "r1:s1"]
         assert load_records(path) == records
 
     @pytest.mark.parametrize("bad_line, reason", [
