@@ -201,3 +201,9 @@ def fixture_profile(taxonomy) -> InterestProfile:
 def mock_gateway(script: dict[str, list], **kwargs) -> Gateway:
     kwargs.setdefault("backoff_base_s", 0.0)
     return Gateway(MockBackend(script), **kwargs)
+
+
+def v1_rendering(records) -> bytes:
+    """Records as format 1 wrote them: every record in full, one per line."""
+    return "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+                   for record in records).encode("utf-8")

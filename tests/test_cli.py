@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conftest import BLOOM_CYCLE, build_mock_script, make_question
+from conftest import BLOOM_CYCLE, build_mock_script, make_question, v1_rendering
 from transcreate import cli
 from transcreate.corpus import ReadingItem, save_items
 from transcreate.pipeline import load_records, save_records
@@ -380,7 +380,7 @@ class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 
     Records digests other than ``RECORDS_V2_SHA256`` are of the records as
-    format 1 wrote them, every line in full (see :func:`v1_rendering`).
+    format 1 wrote them, every line in full (``v1_rendering``).
     """
 
     RECORDS_V2_SHA256 = "62fb892489ef228b3684649ab0d5e0c0e09a44cb5d6706a109061e0717064b7d"
@@ -417,7 +417,7 @@ class TestGoldenDigests:
         assert run(["judge", "--in", workdir / "out.jsonl", "--out", workdir / "verdicts.json",
                     "--mock", workdir / "judge.json", "--log", log]) == 0
 
-        records = v1_rendering(workdir / "out.jsonl")
+        records = v1_rendering(load_records(workdir / "out.jsonl"))
         lines = records.splitlines(keepends=True)
         assert len(lines) == 8
         assert digest(b"".join(lines[:4])) == self.S1_RECORDS_SHA256
@@ -455,13 +455,8 @@ class TestGoldenDigests:
         script = build_mock_script(fixture_items, repeats=2)
         (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
         assert run(transcreate_argv(workdir)) == 0
-        assert digest(v1_rendering(workdir / "out.jsonl")) == self.CLEAN_RECORDS_SHA256
-
-
-def v1_rendering(path) -> bytes:
-    """A records file as format 1 wrote it: each loaded record in full, one per line."""
-    return "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
-                   for record in load_records(path)).encode("utf-8")
+        records = v1_rendering(load_records(workdir / "out.jsonl"))
+        assert digest(records) == self.CLEAN_RECORDS_SHA256
 
 
 def digest(data: bytes) -> str:

@@ -23,6 +23,7 @@ from conftest import (
     questions_reply,
     tagged_reply,
     themed_passage_reply,
+    v1_rendering,
 )
 from transcreate.corpus import BloomLevel, UnknownTopicError
 from transcreate.errors import ValidationError
@@ -521,12 +522,6 @@ class TestRecordsFile:
     def lines(path):
         return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
-    @staticmethod
-    def write_v1(records, path):
-        # What format 1 wrote: every record in full.
-        path.write_text("".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n"
-                                for r in records), encoding="utf-8")
-
     def test_later_records_of_an_item_refer_to_its_first(self, taxonomy, tagset,
                                                          fixture_items, tmp_path):
         records = self.cohort(fixture_items[:2], taxonomy, tagset)
@@ -545,21 +540,21 @@ class TestRecordsFile:
             # Every other field is on every line.
             assert line["tagged_source"] == record.tagged_source.to_dict()
         v1 = tmp_path / "v1.jsonl"
-        self.write_v1(records, v1)
+        v1.write_bytes(v1_rendering(records))
         assert path.stat().st_size < v1.stat().st_size
         assert [r.to_dict() for r in load_records(path)] == [r.to_dict() for r in records]
 
     def test_v1_file_loads_and_round_trips(self, taxonomy, tagset, fixture_items, tmp_path):
         records = self.cohort(fixture_items[:2], taxonomy, tagset)
         v1 = tmp_path / "v1.jsonl"
-        self.write_v1(records, v1)
+        v1.write_bytes(v1_rendering(records))
         loaded = load_records(v1)
         assert loaded == records
         v2 = tmp_path / "v2.jsonl"
         save_records(loaded, v2)
         assert load_records(v2) == records
         again = tmp_path / "again.jsonl"
-        self.write_v1(load_records(v2), again)
+        again.write_bytes(v1_rendering(load_records(v2)))
         assert again.read_bytes() == v1.read_bytes()
 
     def test_loaded_records_share_objects_in_their_own_lists(self, taxonomy, tagset,
