@@ -40,6 +40,8 @@ class RunConfig:
     request_log: str | None = None
 
     def __post_init__(self):
+        if self.retry_budget < 0:
+            raise ValidationError("retry_budget must be >= 0")
         if not 0 < self.length_envelope < 1:
             raise ValidationError("length_envelope must be in (0, 1)")
         if not 0 < self.alpha < 1:
@@ -303,7 +305,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, gateway: bool = False)
         parser.add_argument("--seed", dest="rng_seed", type=int, help="RNG seed (default 0)")
         parser.add_argument(
             "--retry-budget", dest="retry_budget", type=int,
-            help="reply-violation retries per step (default 3)",
+            help="reply-violation retries per step, >= 0 (default 3)",
         )
         parser.add_argument(
             "--length-envelope", dest="length_envelope", type=float,

@@ -168,6 +168,8 @@ class ProviderConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        if not self.timeout_s > 0:
+            raise ValueError("timeout_s must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:

@@ -594,6 +594,8 @@ class TranscreationPipeline:
         temperature: float = 0.0,
         seed: int | None = 0,
     ):
+        if retry_budget < 0:
+            raise ValueError("retry_budget must be >= 0")
         if not 0 < length_envelope < 1:
             raise ValueError("length_envelope must be in (0, 1)")
         self.gateway = gateway

@@ -9,6 +9,7 @@ import functools
 import json
 import re
 import statistics
+import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -23,9 +24,15 @@ FRES_SYLLABLE_WEIGHT = 84.6
 
 VOWELS = frozenset("aeiouy")
 
-# Maximal runs of letters, digits, and apostrophes; everything else splits.
-# ``[^\W_]`` is ``\w`` without the underscore: Unicode letters and digits.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|['’])+")
+# A word is a maximal run of Unicode letters, digits, ``'`` and ``’`` in the
+# casefolded text; ``_`` and every other character split words.
+# ASCII text: every character but a-z, 0-9 and ``'`` becomes a space.
+_ASCII_WORD_TABLE = "".join(
+    ch if ch in string.ascii_lowercase + string.digits + "'" else " "
+    for ch in map(chr, range(128))
+)
+# Other text: ``\w`` is letters, digits and ``_``; underscores are blanked first.
+_TOKEN_RE = re.compile(r"[\w'’]+")
 
 _SENTENCE_TERMINAL_RE = re.compile(r"[.!?]")
 
@@ -45,7 +52,10 @@ class EmptyCorpusError(ValidationError):
 
 def tokenize_words(text: str) -> list[str]:
     """Split text into case-folded word tokens; punctuation is excluded."""
-    return _TOKEN_RE.findall(text.casefold())
+    folded = text.casefold()
+    if folded.isascii():
+        return folded.translate(_ASCII_WORD_TABLE).split()
+    return _TOKEN_RE.findall(folded.replace("_", " "))
 
 
 def _is_boundary(text: str, idx: int) -> bool:

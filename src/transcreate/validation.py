@@ -128,6 +128,8 @@ class BloomJudge:
 
     def __init__(self, gateway: Gateway, template: PromptTemplate, *, retry_budget: int = 3,
                  temperature: float = 0.0, seed: int | None = 0):
+        if retry_budget < 0:
+            raise ValueError("retry_budget must be >= 0")
         self.gateway = gateway
         self.template = template
         self.retry_budget = retry_budget

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -201,6 +202,15 @@ def fixture_profile(taxonomy) -> InterestProfile:
 def mock_gateway(script: dict[str, list], **kwargs) -> Gateway:
     kwargs.setdefault("backoff_base_s", 0.0)
     return Gateway(MockBackend(script), **kwargs)
+
+
+# The word pattern of the earlier tokenizer, kept as the oracle for
+# ``tokenize_words`` and the word counts built on it.
+REFERENCE_TOKEN_RE = re.compile(r"(?:[^\W\d_]|\d|['’])+")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    return REFERENCE_TOKEN_RE.findall(text.casefold())
 
 
 def v1_rendering(records) -> bytes:

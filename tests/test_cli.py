@@ -376,6 +376,46 @@ class TestConfigPrecedence:
         assert run(argv) == 3
 
 
+class TestConfigChecks:
+    """Out-of-range settings exit 3 before any call, with no output file."""
+
+    def judge_argv(self, workdir):
+        assert run(transcreate_argv(workdir, "records.jsonl")) == 0
+        script_path = workdir / "judge_script.json"
+        script_path.write_text(json.dumps({"judge_bloom": BLOOM_CYCLE * 4}), encoding="utf-8")
+        return ["judge", "--in", workdir / "records.jsonl", "--mock", script_path,
+                "--out", workdir / "out.jsonl"]
+
+    @pytest.mark.parametrize("command", ["transcreate", "judge"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_retry_budget(self, workdir, capsys, command, from_config):
+        argv = transcreate_argv(workdir) if command == "transcreate" else self.judge_argv(workdir)
+        if from_config:
+            config_path = workdir / "config.json"
+            config_path.write_text(json.dumps({"retry_budget": -1}), encoding="utf-8")
+            argv += ["--config", config_path]
+        else:
+            argv += ["--retry-budget", -1]
+        assert run(argv) == 3
+        assert not (workdir / "out.jsonl").exists()
+        assert "retry_budget must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout_s", [0, -1.5])
+    def test_non_positive_provider_timeout(self, workdir, capsys, monkeypatch, timeout_s):
+        sent = []
+        monkeypatch.setenv("TEST_KEY", "k")
+        monkeypatch.setattr("transcreate.gateway.requests.Session.post",
+                            lambda *args, **kwargs: sent.append(kwargs))
+        provider = {"endpoint": "http://127.0.0.1:9/v1/chat", "api_key_env": "TEST_KEY",
+                    "timeout_s": timeout_s}
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"provider": provider}), encoding="utf-8")
+        argv = transcreate_argv(workdir)[:-2]  # without --mock: the HTTP backend
+        assert run(argv + ["--config", config_path]) == 3
+        assert sent == [] and not (workdir / "out.jsonl").exists()
+        assert "bad provider config: timeout_s must be > 0" in capsys.readouterr().err
+
+
 class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 

@@ -239,6 +239,11 @@ class TestHttpBackend:
     def config(self):
         return ProviderConfig(endpoint="http://127.0.0.1:9/v1/chat", api_key_env="TEST_KEY")
 
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be > 0"):
+            ProviderConfig(timeout_s=timeout_s)
+
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("TEST_KEY", raising=False)
         backend = HttpBackend(self.config())

@@ -21,6 +21,7 @@ from conftest import (
     make_item,
     mock_gateway,
     questions_reply,
+    reference_tokenize,
     tagged_reply,
     themed_passage_reply,
     v1_rendering,
@@ -187,6 +188,10 @@ class TestExtractTopic:
         assert len(exchanges) == 2
         assert "rejected" in exchanges[1].user
 
+    def test_negative_retry_budget_rejected(self, taxonomy, tagset):
+        with pytest.raises(ValueError, match="retry_budget must be >= 0"):
+            make_pipeline({"extract_topic": ["2.b"]}, taxonomy, tagset, retry_budget=-1)
+
     def test_blank_passage_precondition(self, taxonomy, tagset):
         from types import SimpleNamespace
 
@@ -281,6 +286,28 @@ class TestTranscreatePassage:
         pipe = make_pipeline({"transcreate_passage": [reply] * 4}, taxonomy, tagset)
         with pytest.raises(LengthViolationError):
             pipe.transcreate_passage(tagged, "2.b", "7.a")
+
+    def test_envelope_counts_words_as_the_reference_pattern(self, taxonomy, tagset):
+        # Curly apostrophes and accented letters stay inside a word; _ splits.
+        original = "Zoë didn’t rename snake_case files. The café’s owner agreed."
+        tagged = TaggedPassage(
+            original,
+            (
+                TagInsertion("past-simple", original.index(".") + 1),
+                TagInsertion("passive-voice", len(original)),
+            ),
+        )
+        assert tagged.word_count == len(reference_tokenize(original)) == 10
+        tags = "[[T:past-simple]][[T:passive-voice]]"
+        above = "Zoë didn’t rename the old snake_case files. The café’s owner agreed today."
+        at_high = "Naïve Zoë didn’t rename her old files. The café’s owner agreed today."
+        assert [len(reference_tokenize(text)) for text in (above, at_high)] == [13, 12]
+        pipe = make_pipeline({"transcreate_passage": [above + tags, at_high + tags]},
+                             taxonomy, tagset)
+        exchanges = []
+        assert pipe.transcreate_passage(tagged, "2.b", "7.a", exchanges) == at_high
+        assert "(10 words)" in exchanges[0].user
+        assert "13 words is outside 8..12 (source has 10)" in exchanges[1].user
 
     def test_unknown_target_rejected(self, taxonomy, tagset):
         tagged = self.source()

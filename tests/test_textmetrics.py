@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
-from conftest import PASSAGES
+from conftest import PASSAGES, reference_tokenize
 from transcreate import textmetrics
 from transcreate.textmetrics import (
     EmptyCorpusError,
@@ -39,17 +38,28 @@ class TestTokenize:
     def test_digits_included(self):
         assert tokenize_words("Room 101 beckons") == ["room", "101", "beckons"]
 
+    def test_underscore_splits(self):
+        assert tokenize_words("snake_case _x_ Café_Noir") == ["snake", "case", "x", "café", "noir"]
+
     def test_same_code_points_as_the_reference_pattern(self):
-        # Every code point once, in order, so equal matches mean the same
+        # Every code point once, in order, so equal tokens mean the same
         # set of word characters and the same runs.
         every = "".join(map(chr, range(0x110000)))
-        tokens = textmetrics._TOKEN_RE.findall(every)
-        assert tokens == REFERENCE_TOKEN_RE.findall(every)
+        tokens = tokenize_words(every)
+        assert tokens == reference_tokenize(every)
         assert "'" in tokens and "’" in tokens and "_" not in "".join(tokens)
+        # Each code point between letters and next to ', ’, _ and whitespace,
+        # 128 code points a text: the first text is ASCII, the others not.
+        for start in range(0, 0x110000, 128):
+            text = "".join(f"a{ch}b'{ch}’{ch}_{ch} " for ch in map(chr, range(start, start + 128)))
+            assert tokenize_words(text) == reference_tokenize(text), hex(start)
+        # Code points that casefold to ASCII (ß, ſ, K U+212A, ligatures), alone.
+        folds_to_ascii = [ch for ch in map(chr, range(0x80, 0x110000)) if ch.casefold().isascii()]
+        assert "ſ" in folds_to_ascii and "\u212a" in folds_to_ascii
+        for ch in folds_to_ascii:
+            text = f"a{ch}b'{ch}’{ch}_{ch} {ch}"
+            assert tokenize_words(text) == reference_tokenize(text), hex(ord(ch))
 
-
-# The word pattern before it was simplified, kept as the oracle.
-REFERENCE_TOKEN_RE = re.compile(r"(?:[^\W\d_]|\d|['’])+")
 
 
 class TestSplitSentences:
@@ -175,7 +185,7 @@ def reference_split_sentences(text):
 
 
 def reference_passage_report(text):
-    words = tokenize_words(text)
+    words = reference_tokenize(text)
     sentences = reference_split_sentences(text)
     if not words or not sentences:
         raise EmptyPassageError("passage has no words")
@@ -199,7 +209,7 @@ ORACLE_PIECES = [
     "Dr.", "Mrs.", "mr.", "e.g.", "i.e.", "etc.", "U.S.", "vs.", "St.", "Prof.",
     "the", "cat", "table", "people", "whole", "happy", "rhythm", "sky",
     "don't", "it's", "o’clock", "'tis", "naïve", "café", "Straße", "ÉCOLE", "Ωmega",
-    "東京", "١٢٣", "٣", "2024", "3.14", "10.", "x",
+    "東京", "١٢٣", "٣", "2024", "3.14", "10.", "x", "snake_case", "_x_", "\u212aelvin", "ſt.",
     ".", "!", "?", "?!", "!?", "...", "..", ".!", ",", ";", "—", "\"", "(a)", "A.",
 ]
 ORACLE_GAPS = [" ", " ", " ", "  ", "\n", "\t", "\u00a0", "\u2003", ""]

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from conftest import make_question, mock_gateway
+from conftest import make_question, mock_gateway, reference_tokenize
 from transcreate.corpus import BloomLevel, ReadingItem
 from transcreate.pipeline import RecordStatus, TranscreationRecord, load_templates
 from transcreate.validation import (
@@ -119,6 +119,10 @@ class TestJudge:
         assert failures == [JudgeFailure(
             "r1", 0, "InvalidBloomReplyError: not a Bloom level: 'Comprehend'")]
 
+    def test_negative_retry_budget_rejected(self):
+        with pytest.raises(ValueError, match="retry_budget must be >= 0"):
+            make_judge(["Analyze"], retry_budget=-1)
+
     def test_rejects_incomplete_record(self):
         record = complete_record()
         record.status = RecordStatus.failed(3, "RoundTripViolationError: nope")
@@ -222,6 +226,16 @@ class TestReviewQueue:
         )
         assert applied.decision.added_word_count == 2
         assert applied.passage == new_passage
+
+    def test_added_words_count_as_the_reference_pattern(self, tmp_path):
+        record = dataclasses.replace(
+            complete_record(), transcreated_passage="Zoë’s café didn’t open. It rained."
+        )
+        queue = ReviewQueue.open_new([record], tmp_path / "q.json")
+        new_passage = "Naïve Zoë’s snake_case café didn’t open. It’s rained all day."
+        applied = queue.apply(self.decision("r1", "edit", new_passage=new_passage))
+        before = len(reference_tokenize(record.transcreated_passage))
+        assert applied.decision.added_word_count == len(reference_tokenize(new_passage)) - before == 5
 
     def test_accept_keeps_passage(self, tmp_path):
         queue = ReviewQueue.open_new(self.records(1), tmp_path / "q.json")
