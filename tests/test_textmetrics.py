@@ -38,9 +38,6 @@ class TestTokenize:
     def test_digits_included(self):
         assert tokenize_words("Room 101 beckons") == ["room", "101", "beckons"]
 
-    def test_underscore_splits(self):
-        assert tokenize_words("snake_case _x_ Café_Noir") == ["snake", "case", "x", "café", "noir"]
-
     def test_same_code_points_as_the_reference_pattern(self):
         # Every code point once, in order, so equal tokens mean the same
         # set of word characters and the same runs.
@@ -59,7 +56,6 @@ class TestTokenize:
         for ch in folds_to_ascii:
             text = f"a{ch}b'{ch}’{ch}_{ch} {ch}"
             assert tokenize_words(text) == reference_tokenize(text), hex(ord(ch))
-
 
 
 class TestSplitSentences:
