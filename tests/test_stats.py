@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_question
-from transcreate.corpus import BloomLevel, ReadingItem
+from transcreate import cli
+from transcreate.corpus import BloomLevel, ReadingItem, save_items
 from transcreate.stats import (
+    IMMS_SUBSCALES,
     AllZeroDifferencesError,
     ImmsResponse,
     LengthMismatchError,
@@ -609,3 +614,83 @@ class TestExperimentReport:
         text = render_report_text(report)
         assert "Group B" in text
         assert "Wilcoxon p" in text
+
+    def test_partial_imms_counts_only_where_answered(self):
+        records, keys = experiment_fixture()
+        partial = next(r for r in records if r.student_id == "a0")
+        records[records.index(partial)] = StudentRecord(
+            student_id=partial.student_id, toefl=partial.toefl, group="A",
+            test_answers=partial.test_answers,
+            turnaround_minutes=partial.turnaround_minutes,
+            imms={"test1": partial.imms["test1"]},
+        )
+        report = experiment_report(records, keys)
+        imms_a = report["groups"]["A"]["imms"]
+        assert imms_a["test1"]["n"] == 10
+        assert imms_a["test2"]["n"] == 9
+        between = report["imms_between_groups"]
+        assert between["test1"]["mannwhitney"]["n"] == {"n_a": 10, "n_b": 10}
+        assert between["test2"]["mannwhitney"]["n"] == {"n_a": 9, "n_b": 10}
+        assert between["retention_delta"]["mannwhitney"]["n"] == {"n_a": 9, "n_b": 10}
+
+
+def seeded_cohort(seed, size=18):
+    """Random sheets, times and IMMS for ``size`` students in groups of uneven size.
+
+    Student 3 has no test 2 turnaround time, so group B reports no
+    turnaround; students 4 and 7 answered the IMMS after one test only. The
+    two keys differ, and only the second has Create questions.
+    """
+    rng = random.Random(seed)
+    keys = {"test1": answer_key(),
+            "test2": answer_key(["Understand", "Apply", "Analyze", "Evaluate", "Create"])}
+    records = []
+    for i in range(size):
+        times = {"test1": round(rng.uniform(20, 40), 1), "test2": round(rng.uniform(20, 40), 1)}
+        surveys = {
+            test_id: tuple(ImmsResponse(f"q{j}", rng.choice(IMMS_SUBSCALES), rng.randint(1, 7))
+                           for j in range(rng.randint(2, 6)))
+            for test_id in keys
+        }
+        if i == 3:
+            del times["test2"]
+        if i in (4, 7):
+            del surveys["test1" if i == 4 else "test2"]
+        records.append(StudentRecord(
+            student_id=f"s{i:02}", toefl=float(rng.randint(70, 110)),
+            group="B" if i % 5 in (1, 3) else "A",
+            test_answers={test_id: tuple(rng.randint(0, 3) for _ in range(20)) for test_id in keys},
+            turnaround_minutes=times, imms=surveys,
+        ))
+    return records, keys
+
+
+class TestReportDigests:
+    """``stats`` JSON and text output, pinned byte for byte.
+
+    The digests were taken from the version that scored each sheet once per
+    use and counted Mann-Whitney labelings with a 2-D list DP.
+    """
+
+    DIGESTS = {
+        "fixture": ("2c601f51bdb0f350cf3b3f5841e5a16e124599358841ca2d056389376a90dc20",
+                    "13abee02af0369edf9e919c8c1db7701fc1fc1f60d6cfa618ddde37ac5969005"),
+        "seeded": ("727d3a8b9ba8ca0ce03592bf5baaf4d084d884a93120fa1401444689513b0e8e",
+                   "35e62f072908ede4906579d80527495891b719605ef74016e2c6518f58391596"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_same_statistics(self, tmp_path, name):
+        records, keys = experiment_fixture() if name == "fixture" else seeded_cohort(8)
+        records_path = tmp_path / "students.json"
+        records_path.write_text(json.dumps([dataclasses.asdict(r) for r in records]),
+                                encoding="utf-8")
+        argv = ["stats", "--records", str(records_path)]
+        for test_id, key in keys.items():
+            save_items(key, tmp_path / f"{test_id}.jsonl")
+            argv += ["--key", f"{test_id}={tmp_path / f'{test_id}.jsonl'}"]
+        assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+        assert cli.main(argv + ["--format", "text", "--out", str(tmp_path / "report.txt")]) == 0
+        digests = tuple(hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
+                        for ext in ("json", "txt"))
+        assert digests == self.DIGESTS[name]
