@@ -23,6 +23,13 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_GATEWAY = 4
 
+# What a RunConfig field of each annotated type takes from a config file.
+_SETTING_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str | None": ((str, type(None)), "a string"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -53,8 +60,15 @@ class RunConfig:
         provider_settings: dict[str, Any] = {}
         config_path = getattr(args, "config", None)
         if config_path:
-            raw = read_json(config_path)
-            provider_settings.update(raw.pop("provider", {}))
+            try:
+                raw = read_json(config_path)
+            except ValueError as exc:
+                raise ValidationError(f"bad config: not valid JSON: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise ValidationError("bad config: the file must hold a JSON object")
+            provider_settings = raw.pop("provider", {})
+            if not isinstance(provider_settings, dict):
+                raise ValidationError("bad config: provider must be an object")
             settings.update(raw)
         known = set(cls.__dataclass_fields__) - {"provider"}
         for name in known:
@@ -64,6 +78,10 @@ class RunConfig:
         unknown = set(settings) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for name, value in sorted(settings.items()):
+            types, kind = _SETTING_TYPES[cls.__dataclass_fields__[name].type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValidationError(f"bad config: {name} must be {kind}")
         try:
             provider = ProviderConfig(**provider_settings)
         except (TypeError, ValueError) as exc:
@@ -82,8 +100,9 @@ class RunConfig:
             rng_seed=self.rng_seed,
         )
 
-    def build_pipeline(self, gateway: Gateway) -> pipeline.TranscreationPipeline:
-        taxonomy = corpus.load_taxonomy(self.taxonomy_path)
+    def build_pipeline(
+        self, gateway: Gateway, taxonomy: corpus.TopicTaxonomy
+    ) -> pipeline.TranscreationPipeline:
         tagset = corpus.load_tagset(self.tagset_path)
         templates = pipeline.load_templates(self.prompts_dir)
         return pipeline.TranscreationPipeline(
@@ -154,7 +173,7 @@ def cmd_transcreate(args: argparse.Namespace) -> int:
     ]
     gateway = config.build_gateway()
     try:
-        records = config.build_pipeline(gateway).transcreate_many(work, jobs=jobs)
+        records = config.build_pipeline(gateway, taxonomy).transcreate_many(work, jobs=jobs)
     finally:
         gateway.close()
     pipeline.save_records(records, args.out)
@@ -295,29 +314,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, gateway: bool = False) -> None:
+_CONFIG_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "taxonomy_path": ("--taxonomy", {"help": "taxonomy JSON path"}),
+    "tagset_path": ("--tagset", {"help": "tag set JSON path"}),
+    "prompts_dir": ("--prompts", {"help": "prompt template directory"}),
+    "rng_seed": ("--seed", {"type": int, "help": "RNG seed (default 0)"}),
+    "retry_budget": ("--retry-budget", {
+        "type": int, "help": "reply-violation retries per step, >= 0 (default 3)"}),
+    "length_envelope": ("--length-envelope", {
+        "type": float, "help": "allowed relative word-count deviation (default 0.25)"}),
+    "alpha": ("--alpha", {"type": float, "help": "significance threshold (default 0.01)"}),
+    "mock_script_path": ("--mock", {
+        "help": "mock script JSON; switches the gateway to scripted replies"}),
+    "request_log": ("--log", {"help": "append-only JSONL request log path"}),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--config, plus a flag for each named RunConfig field the command reads."""
     parser.add_argument("--config", help="JSON config file; flags win over it")
-    parser.add_argument("--taxonomy", dest="taxonomy_path", help="taxonomy JSON path")
-    parser.add_argument("--tagset", dest="tagset_path", help="tag set JSON path")
-    parser.add_argument("--alpha", type=float, help="significance threshold (default 0.01)")
-    if gateway:
-        parser.add_argument("--prompts", dest="prompts_dir", help="prompt template directory")
-        parser.add_argument("--seed", dest="rng_seed", type=int, help="RNG seed (default 0)")
-        parser.add_argument(
-            "--retry-budget", dest="retry_budget", type=int,
-            help="reply-violation retries per step, >= 0 (default 3)",
-        )
-        parser.add_argument(
-            "--length-envelope", dest="length_envelope", type=float,
-            help="allowed relative word-count deviation (default 0.25)",
-        )
-        parser.add_argument(
-            "--mock", dest="mock_script_path",
-            help="mock script JSON; switches the gateway to scripted replies",
-        )
-        parser.add_argument(
-            "--log", dest="request_log", help="append-only JSONL request log path"
-        )
+    for name in names:
+        flag, options = _CONFIG_FLAGS[name]
+        parser.add_argument(flag, dest=name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,13 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["random", "interest"], required=True)
     p.add_argument("--out", required=True, help="records JSONL output (atomic)")
     p.add_argument("--jobs", type=int, default=1, help="parallel items (default 1)")
-    _add_config_flags(p, gateway=True)
+    _add_config_flags(p, "taxonomy_path", "tagset_path", "prompts_dir", "rng_seed",
+                      "retry_budget", "length_envelope", "mock_script_path", "request_log")
     p.set_defaults(handler=cmd_transcreate)
 
     p = sub.add_parser("judge", help="blind-judge question levels and report agreement")
     p.add_argument("--in", dest="in_path", required=True, help="records JSONL")
     p.add_argument("--out")
-    _add_config_flags(p, gateway=True)
+    _add_config_flags(p, "prompts_dir", "rng_seed", "retry_budget", "mock_script_path",
+                      "request_log")
     p.set_defaults(handler=cmd_judge)
 
     p = sub.add_parser("review", help="interactive expert review of transcreated items")
@@ -392,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
-    _add_config_flags(p)
+    _add_config_flags(p, "alpha")
     p.set_defaults(handler=cmd_stats)
 
     return parser

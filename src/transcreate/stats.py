@@ -1,8 +1,8 @@
 """Experiment statistics: balanced splitting, scoring, exact rank tests, IMMS.
 
-The Wilcoxon and Mann-Whitney tests take an exact enumeration path at desk
-scale (two groups of ten fit comfortably) and fall back to a tie-corrected
-normal approximation beyond it. All functions are pure.
+The Wilcoxon and Mann-Whitney tests are exact up to 32 observations (two
+groups of the largest exact split, 16 + 16) and fall back to a
+tie-corrected normal approximation beyond that. All functions are pure.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .textmetrics import mean_std
 POINTS_PER_QUESTION = 5
 IMMS_SUBSCALES = ("Attention", "Relevance", "Confidence", "Satisfaction")
 
-WILCOXON_EXACT_LIMIT = 20  # max nonzero differences for enumeration
-MANNWHITNEY_EXACT_LIMIT = 20  # max pooled sample size for enumeration
 SPLIT_EXACT_LIMIT = 16  # max group size for the exact split
+# Two split groups of the largest exact size stay on the exact tests.
+WILCOXON_EXACT_LIMIT = 2 * SPLIT_EXACT_LIMIT  # max nonzero differences for enumeration
+MANNWHITNEY_EXACT_LIMIT = 2 * SPLIT_EXACT_LIMIT  # max pooled sample size for enumeration
 
 
 class AllZeroDifferencesError(ValidationError):
@@ -445,10 +446,10 @@ def wilcoxon_signed_rank(
     """Paired signed-rank test; W = min(W+, W-).
 
     Zero differences are dropped; tied magnitudes get average ranks. With at
-    most 20 nonzero differences the p-value enumerates all sign patterns
-    exactly; beyond that a tie-corrected normal approximation with continuity
-    correction applies. One-sided means the tail in the observed direction;
-    two-sided doubles it, capped at 1.
+    most WILCOXON_EXACT_LIMIT nonzero differences the p-value counts all sign
+    patterns exactly; beyond that a tie-corrected normal approximation with
+    continuity correction applies. One-sided means the tail in the observed
+    direction; two-sided doubles it, capped at 1.
     """
     if sides not in ("one", "two"):
         raise ValueError("sides must be 'one' or 'two'")
@@ -504,8 +505,10 @@ def mann_whitney_u(
 ) -> StatTestResult:
     """Unpaired rank-sum test; U = min(U_a, U_b), average ranks for ties.
 
-    With a pooled size of at most 20 the p-value enumerates all C(n+m, n)
-    labelings of the observed (possibly tied) ranks exactly; beyond that a
+    With a pooled size of at most MANNWHITNEY_EXACT_LIMIT the p-value counts
+    all C(n+m, n) labelings of the observed (possibly tied) ranks exactly,
+    by rank sum per subset size (after Streitberg & Röhmel's shift
+    algorithm, Statistical Software Newsletter 12, 1986); beyond that a
     tie-corrected normal approximation with continuity correction applies.
     """
     if sides not in ("one", "two"):
@@ -523,22 +526,21 @@ def mann_whitney_u(
     total = n_a + n_b
 
     if total <= MANNWHITNEY_EXACT_LIMIT:
-        # Count size-n_a subsets of the doubled ranks by rank sum.
-        max_sum = sum(ranks2)
-        counts = [[0] * (max_sum + 1) for _ in range(n_a + 1)]
-        counts[0][0] = 1
+        # rows[j] counts the size-j subsets of the doubled ranks by rank sum,
+        # one slot of `width` bits per sum. No count reaches 2**total, so no
+        # slot overflows, and each rank is one shift-add per subset size.
+        width = total + 1
+        rows = [1] + [0] * n_a
         for rank2 in ranks2:
-            for chosen in range(min(n_a, total) - 1, -1, -1):
-                row = counts[chosen]
-                nxt = counts[chosen + 1]
-                for s in range(max_sum - rank2, -1, -1):
-                    if row[s]:
-                        nxt[s + rank2] += row[s]
+            shift = rank2 * width
+            for chosen in range(n_a, 0, -1):
+                rows[chosen] += rows[chosen - 1] << shift
         # U_a <= u  <=>  R2_a >= 2*n_a*n_b + n_a*(n_a+1) - 2u; use the doubled
-        # observed minimum directly.
+        # observed minimum directly. The slots at or above the threshold sum
+        # to less than 2**width - 1, so their sum is the shifted row modulo it.
         u2_min = min(u2_a, u2_b)
         threshold = 2 * n_a * n_b + n_a * (n_a + 1) - u2_min
-        favorable = sum(counts[n_a][s] for s in range(threshold, max_sum + 1))
+        favorable = (rows[n_a] >> threshold * width) % ((1 << width) - 1)
         total_labelings = math.comb(total, n_a)
         p_one = favorable / total_labelings
         method = "exact"
@@ -576,19 +578,16 @@ class LikertSummary:
         return {"mean": self.mean, "std": self.std, "n": self.n}
 
 
-def _student_imms_means(
-    records: Sequence[StudentRecord], test_id: str, subscale: str | None
-) -> list[float]:
-    means = []
-    for record in records:
-        responses = [
-            r.response
-            for r in record.imms.get(test_id, ())
-            if subscale is None or r.subscale == subscale
-        ]
-        if responses:
-            means.append(sum(responses) / len(responses))
-    return means
+def _imms_mean(
+    record: StudentRecord, test_id: str, subscale: str | None = None
+) -> float | None:
+    """One student's mean IMMS response after one test; None without responses."""
+    responses = [
+        r.response
+        for r in record.imms.get(test_id, ())
+        if subscale is None or r.subscale == subscale
+    ]
+    return sum(responses) / len(responses) if responses else None
 
 
 def likert_summary(
@@ -597,7 +596,9 @@ def likert_summary(
     """Student-first aggregation: mean +- sample std over per-student means."""
     if subscale is not None and subscale not in IMMS_SUBSCALES:
         raise ValueError(f"unknown IMMS subscale {subscale!r}")
-    means = _student_imms_means(records, test_id, subscale)
+    means = [
+        mean for mean in (_imms_mean(r, test_id, subscale) for r in records) if mean is not None
+    ]
     if not means:
         raise NoResponsesError(f"no IMMS responses for test {test_id!r}")
     mean, std = mean_std(means)
@@ -647,49 +648,35 @@ def experiment_report(
         if not members:
             raise ValidationError(f"group {name} is empty")
 
-    def scores_for(members: Sequence[StudentRecord], test_id: str) -> list[float]:
-        result = []
-        for member in members:
-            if test_id not in member.test_answers:
-                raise ValidationError(f"{member.student_id} has no answers for {test_id}")
-            result.append(
-                float(score_test(member.test_answers[test_id], keys[test_id]).score)
-            )
-        return result
-
-    def bloom_points(member: StudentRecord, test_id: str) -> dict[BloomLevel, int]:
-        result = score_test(member.test_answers[test_id], keys[test_id])
-        return {
-            level: POINTS_PER_QUESTION * correct
-            for level, (correct, _) in result.correct_by_bloom.items()
-        }
-
+    bloom_seq = tuple(BloomLevel)
+    bloom_levels = sorted(
+        {q.bloom for test_id in test_ids for item in keys[test_id] for q in item.questions
+         if q.bloom is not None},
+        key=bloom_seq.index,
+    )
     report: dict[str, Any] = {"alpha": alpha, "tests": test_ids, "groups": {}}
-    imms_means: dict[str, dict[str, list[float]]] = {}
+    # group -> test id or "retention_delta" -> the students' IMMS means or deltas
+    imms_samples: dict[str, dict[str, list[float]]] = {}
 
     for name, members in groups.items():
-        before = scores_for(members, first)
-        after = scores_for(members, second)
+        results: dict[str, list[TestResult]] = {test_id: [] for test_id in test_ids}
+        for test_id, sheets in results.items():
+            for member in members:
+                if test_id not in member.test_answers:
+                    raise ValidationError(f"{member.student_id} has no answers for {test_id}")
+                sheets.append(score_test(member.test_answers[test_id], keys[test_id]))
+        before = [float(result.score) for result in results[first]]
+        after = [float(result.score) for result in results[second]]
         deltas = [b - a for a, b in zip(before, after)]
         score_test_stat = _paired_wilcoxon(before, after)
         delta_mean, delta_std = mean_std(deltas)
 
-        bloom_seq = tuple(BloomLevel)
-        bloom_levels = sorted(
-            {
-                level
-                for test_id in test_ids
-                for item in keys[test_id]
-                for level in [q.bloom for q in item.questions]
-                if level is not None
-            },
-            key=bloom_seq.index,
-        )
         bloom_section = {}
         for level in bloom_levels:
             per_student = [
-                bloom_points(m, second).get(level, 0) - bloom_points(m, first).get(level, 0)
-                for m in members
+                POINTS_PER_QUESTION * (b.correct_by_bloom.get(level, (0, 0))[0]
+                                       - a.correct_by_bloom.get(level, (0, 0))[0])
+                for a, b in zip(results[first], results[second])
             ]
             b_mean, b_std = mean_std(per_student)
             bloom_section[level.value] = {"delta_mean": b_mean, "delta_std": b_std}
@@ -711,11 +698,18 @@ def experiment_report(
                 "significant": t_stat["p_value"] < alpha,
             }
 
+        per_member = {test_id: [_imms_mean(m, test_id) for m in members] for test_id in test_ids}
+        samples = imms_samples[name] = {
+            test_id: [mean for mean in means if mean is not None]
+            for test_id, means in per_member.items()
+        }
+        samples["retention_delta"] = [
+            m2 - m1 for m1, m2 in zip(per_member[first], per_member[second])
+            if m1 is not None and m2 is not None
+        ]
         imms_section: dict[str, Any] = {}
-        imms_means[name] = {}
         for test_id in test_ids:
-            means = _student_imms_means(members, test_id, None)
-            imms_means[name][test_id] = means
+            means = samples[test_id]
             if means:
                 m_mean, m_std = mean_std(means)
                 imms_section[test_id] = {"mean": m_mean, "std": m_std, "n": len(means)}
@@ -740,30 +734,11 @@ def experiment_report(
         }
 
     between: dict[str, Any] = {}
-    for test_id in test_ids:
-        means_a = imms_means["A"][test_id]
-        means_b = imms_means["B"][test_id]
-        if means_a and means_b:
-            stat = mann_whitney_u(means_a, means_b, sides="two").to_dict()
-            between[test_id] = {
-                "mannwhitney": stat,
-                "significant": stat["p_value"] < alpha,
-            }
-    deltas_by_group: dict[str, list[float]] = {}
-    for name in ("A", "B"):
-        per_student = []
-        for member in groups[name]:
-            m1 = _student_imms_means([member], first, None)
-            m2 = _student_imms_means([member], second, None)
-            if m1 and m2:
-                per_student.append(m2[0] - m1[0])
-        deltas_by_group[name] = per_student
-    if deltas_by_group["A"] and deltas_by_group["B"]:
-        stat = mann_whitney_u(deltas_by_group["A"], deltas_by_group["B"], sides="two").to_dict()
-        between["retention_delta"] = {
-            "mannwhitney": stat,
-            "significant": stat["p_value"] < alpha,
-        }
+    for key in (*test_ids, "retention_delta"):
+        sample_a, sample_b = (imms_samples[name][key] for name in groups)
+        if sample_a and sample_b:
+            stat = mann_whitney_u(sample_a, sample_b, sides="two").to_dict()
+            between[key] = {"mannwhitney": stat, "significant": stat["p_value"] < alpha}
     if between:
         report["imms_between_groups"] = between
     return report

@@ -416,6 +416,73 @@ class TestConfigChecks:
         assert "bad provider config: timeout_s must be > 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("content, message", [
+        ('{"alpha": "0.5"}', "alpha must be a number"),
+        ('{"alpha": null}', "alpha must be a number"),
+        ('{"length_envelope": "x"}', "length_envelope must be a number"),
+        ('{"length_envelope": true}', "length_envelope must be a number"),
+        ('{"retry_budget": "3"}', "retry_budget must be an integer"),
+        ('{"retry_budget": 2.0}', "retry_budget must be an integer"),
+        ('{"rng_seed": "1"}', "rng_seed must be an integer"),
+        ('{"prompts_dir": 7}', "prompts_dir must be a string"),
+        ('[1]', "the file must hold a JSON object"),
+        ('{"provider": 3}', "provider must be an object"),
+        ('{"alpha": ', "not valid JSON"),
+    ])
+    @pytest.mark.parametrize("command", ["transcreate", "judge", "stats"])
+    def test_wrong_config_type(self, workdir, capsys, command, content, message):
+        if command == "transcreate":
+            argv = transcreate_argv(workdir)
+        elif command == "judge":
+            argv = self.judge_argv(workdir)
+        else:  # the config is read before the records, so these need not exist
+            argv = ["stats", "--records", workdir / "students.json",
+                    "--key", f"test1={workdir / 'key.jsonl'}", "--out", workdir / "out.jsonl"]
+        config_path = workdir / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert run(argv + ["--config", config_path]) == 3
+        assert not (workdir / "out.jsonl").exists()
+        assert f"bad config: {message}" in capsys.readouterr().err
+
+
+class TestFlags:
+    REQUIRED = {"transcreate": ["--in", "i", "--profiles", "p", "--mode", "random", "--out", "o"],
+                "judge": ["--in", "i"], "stats": ["--records", "r", "--key", "t=k"]}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("judge", "--taxonomy"), ("judge", "--tagset"), ("judge", "--length-envelope"),
+        ("judge", "--alpha"), ("transcreate", "--alpha"), ("stats", "--taxonomy"),
+        ("stats", "--tagset"),
+    ])
+    def test_unread_flag_is_refused(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, *self.REQUIRED[command], flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transcreate", "judge", "stats"])
+    def test_every_config_key_is_accepted(self, tmp_path, command):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "taxonomy_path": "t.json", "tagset_path": "g.json", "prompts_dir": "p",
+            "rng_seed": 5, "retry_budget": 1, "length_envelope": 0.3, "alpha": 0.05,
+            "mock_script_path": None, "request_log": None,
+        }), encoding="utf-8")
+        argv = [command, *self.REQUIRED[command], "--config", str(config_path)]
+        ns = cli.build_parser().parse_args(argv)
+        config = cli.RunConfig.from_args(ns)
+        assert (config.tagset_path, config.length_envelope, config.alpha) == ("g.json", 0.3, 0.05)
+
+    def test_transcreate_loads_the_taxonomy_once(self, workdir, monkeypatch):
+        loads = []
+        load_taxonomy = cli.corpus.load_taxonomy
+        monkeypatch.setattr(cli.corpus, "load_taxonomy",
+                            lambda path=None: loads.append(path) or load_taxonomy(path))
+        assert run(transcreate_argv(workdir)) == 0
+        assert loads == [None]
+
+
 class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 

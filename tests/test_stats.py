@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,6 +18,8 @@ from transcreate import cli
 from transcreate.corpus import BloomLevel, ReadingItem, save_items
 from transcreate.stats import (
     IMMS_SUBSCALES,
+    MANNWHITNEY_EXACT_LIMIT,
+    WILCOXON_EXACT_LIMIT,
     AllZeroDifferencesError,
     ImmsResponse,
     LengthMismatchError,
@@ -84,6 +87,28 @@ def oracle_mannwhitney(a, b, sides="two"):
     return u_min, (p_one if sides == "one" else min(1.0, 2 * p_one))
 
 
+def dp_mannwhitney_p(a, b, sides="two"):
+    """p by the 2-D list DP over (subset size, doubled rank sum) that the
+    exact Mann-Whitney path used before its counts became packed integers."""
+    n_a, n_b = len(a), len(b)
+    ranks2 = [round(2 * r) for r in oracle_ranks(list(a) + list(b))]
+    r2_a = sum(ranks2[:n_a])
+    u2_a = 2 * n_a * n_b + n_a * (n_a + 1) - r2_a
+    u2_min = min(u2_a, 2 * n_a * n_b - u2_a)
+    max_sum = sum(ranks2)
+    counts = [[0] * (max_sum + 1) for _ in range(n_a + 1)]
+    counts[0][0] = 1
+    for rank2 in ranks2:
+        for chosen in range(n_a - 1, -1, -1):
+            row, nxt = counts[chosen], counts[chosen + 1]
+            for s in range(max_sum - rank2, -1, -1):
+                if row[s]:
+                    nxt[s + rank2] += row[s]
+    threshold = 2 * n_a * n_b + n_a * (n_a + 1) - u2_min
+    p_one = sum(counts[n_a][threshold:]) / math.comb(n_a + n_b, n_a)
+    return p_one if sides == "one" else min(1.0, 2.0 * p_one)
+
+
 class TestWilcoxon:
     def test_known_case(self):
         # diffs +1, +2, +3: only the all-positive pattern reaches W = 0
@@ -149,10 +174,22 @@ class TestWilcoxon:
         assert mapped.statistic == base.statistic
         assert mapped.p_value == base.p_value
 
+    def test_exact_to_limit_matches_scipy(self):
+        from scipy import stats as scipy_stats
+
+        rng = random.Random(41)
+        for n in range(21, WILCOXON_EXACT_LIMIT + 1):
+            x = [round(rng.uniform(0, 50), 3) for _ in range(n)]
+            y = [round(rng.uniform(0, 50), 3) for _ in range(n)]
+            mine = wilcoxon_signed_rank(x, y, sides="two")
+            theirs = scipy_stats.wilcoxon(x, y, alternative="two-sided", method="exact")
+            assert mine.method == "exact"
+            assert mine.p_value == pytest.approx(theirs.pvalue, abs=1e-12)
+
     def test_normal_approx_beyond_limit(self):
         rng = random.Random(9)
-        x = [rng.uniform(0, 10) + 1.5 for _ in range(25)]
-        y = [rng.uniform(0, 10) for _ in range(25)]
+        x = [rng.uniform(0, 10) + 1.5 for _ in range(WILCOXON_EXACT_LIMIT + 1)]
+        y = [rng.uniform(0, 10) for _ in range(WILCOXON_EXACT_LIMIT + 1)]
         result = wilcoxon_signed_rank(x, y, sides="two")
         assert result.method == "normal-approx"
         assert 0 < result.p_value <= 1
@@ -226,10 +263,34 @@ class TestMannWhitney:
         assert mapped.statistic == base.statistic
         assert mapped.p_value == base.p_value
 
+    def test_matches_old_dp_to_limit_with_ties(self):
+        # p bit for bit equal to the old counter, also where it was exact (N <= 20).
+        rng = random.Random(21)
+        for total in range(2, MANNWHITNEY_EXACT_LIMIT + 1):
+            n = rng.randint(1, total - 1)
+            pooled = [rng.randint(0, 5) for _ in range(total)]
+            a, b = pooled[:n], pooled[n:]
+            mine = mann_whitney_u(a, b, sides="two")
+            assert mine.method == "exact"
+            assert mine.p_value == dp_mannwhitney_p(a, b, sides="two")
+
+    def test_exact_to_limit_matches_scipy(self):
+        from scipy import stats as scipy_stats
+
+        rng = random.Random(17)
+        for total in range(21, MANNWHITNEY_EXACT_LIMIT + 1):
+            n = rng.randint(1, total - 1)
+            a = [round(rng.uniform(0, 50), 3) for _ in range(n)]
+            b = [round(rng.uniform(0, 50), 3) for _ in range(total - n)]
+            mine = mann_whitney_u(a, b, sides="two")
+            theirs = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
+            assert mine.method == "exact"
+            assert mine.p_value == pytest.approx(theirs.pvalue, abs=1e-12)
+
     def test_normal_approx_beyond_limit(self):
         rng = random.Random(10)
-        a = [rng.uniform(0, 10) + 3 for _ in range(12)]
-        b = [rng.uniform(0, 10) for _ in range(12)]
+        a = [rng.uniform(0, 10) + 3 for _ in range(MANNWHITNEY_EXACT_LIMIT // 2 + 1)]
+        b = [rng.uniform(0, 10) for _ in range(MANNWHITNEY_EXACT_LIMIT // 2)]
         result = mann_whitney_u(a, b, sides="two")
         assert result.method == "normal-approx"
         assert 0 < result.p_value <= 1
@@ -615,6 +676,14 @@ class TestExperimentReport:
         assert "Group B" in text
         assert "Wilcoxon p" in text
 
+    def test_each_sheet_scored_once(self, monkeypatch):
+        records, keys = experiment_fixture()
+        calls = []
+        monkeypatch.setattr("transcreate.stats.score_test",
+                            lambda answers, key: calls.append(answers) or score_test(answers, key))
+        experiment_report(records, keys)
+        assert len(calls) == len(records) * len(keys)
+
     def test_partial_imms_counts_only_where_answered(self):
         records, keys = experiment_fixture()
         partial = next(r for r in records if r.student_id == "a0")
@@ -659,7 +728,8 @@ def seeded_cohort(seed, size=18):
         records.append(StudentRecord(
             student_id=f"s{i:02}", toefl=float(rng.randint(70, 110)),
             group="B" if i % 5 in (1, 3) else "A",
-            test_answers={test_id: tuple(rng.randint(0, 3) for _ in range(20)) for test_id in keys},
+            test_answers={test_id: tuple(rng.randint(0, 3) for _ in range(20))
+                          for test_id in keys},
             turnaround_minutes=times, imms=surveys,
         ))
     return records, keys

@@ -10,13 +10,15 @@ change and of its parent, and their medians::
         "runs": {"parent": [<result line>, ...], "change": [...]}}, ...}, ...}
 
 Each file must parse and give a parent and a change value of every
-end-to-end metric of every workload that ``BENCHMARK.json`` declares.
+end-to-end metric of every workload that ``BENCHMARK.json`` declares, and
+each value must be the median of that metric over the side's listed runs.
 Prints one line per problem and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -35,14 +37,41 @@ def problems(bench_file: Path, benchmark: dict) -> list[str]:
         entry = workloads.get(name)
         metrics = entry.get("metrics") if isinstance(entry, dict) else None
         metrics = metrics if isinstance(metrics, dict) else {}
+        runs = entry.get("runs") if isinstance(entry, dict) else None
+        runs = runs if isinstance(runs, dict) else {}
         for metric in benchmark["end_to_end"]:
+            where = f"{bench_file.name}: {name}: {metric['name']}"
             pair = metrics.get(metric["name"])
             for side in ("parent", "change"):
                 value = pair.get(side) if isinstance(pair, dict) else None
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    found.append(f"{bench_file.name}: {name}: {metric['name']}: "
-                                 f"no {side} value")
+                if not _is_number(value):
+                    found.append(f"{where}: no {side} value")
+                    continue
+                values = _run_values(runs.get(side), metric["name"])
+                if values is None:
+                    found.append(f"{where}: no {side} runs with a value")
+                elif statistics.median(values) != value:
+                    found.append(f"{where}: {side} {value} is not the median "
+                                 f"{statistics.median(values)} of its runs")
     return found
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _run_values(runs, metric: str) -> list[float] | None:
+    """The metric's value in each listed result line; None if there are none or one lacks it."""
+    if not isinstance(runs, list) or not runs:
+        return None
+    values = []
+    for run in runs:
+        entry = run.get("metrics", {}).get(metric) if isinstance(run, dict) else None
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if not _is_number(value):
+            return None
+        values.append(value)
+    return values
 
 
 def main(argv: list[str]) -> int:
