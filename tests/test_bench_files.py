@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 import shutil
@@ -26,8 +27,7 @@ def bench_workloads(tmp_path, run_values=(1.0,)):
     names = [m["name"] for m in benchmark["end_to_end"]]
     runs = [{"metrics": {m: {"value": value} for m in names}} for value in run_values]
     return {w["name"]: {"metrics": {m: {"parent": 1.0, "change": 1.0} for m in names},
-                        "runs": {"parent": json.loads(json.dumps(runs)),
-                                 "change": json.loads(json.dumps(runs))}}
+                        "runs": {"parent": copy.deepcopy(runs), "change": copy.deepcopy(runs)}}
             for w in benchmark["workloads"]}
 
 

@@ -50,9 +50,8 @@ def problems(bench_file: Path, benchmark: dict) -> list[str]:
                 values = _run_values(runs.get(side), metric["name"])
                 if values is None:
                     found.append(f"{where}: no {side} runs with a value")
-                elif statistics.median(values) != value:
-                    found.append(f"{where}: {side} {value} is not the median "
-                                 f"{statistics.median(values)} of its runs")
+                elif (median := statistics.median(values)) != value:
+                    found.append(f"{where}: {side} {value} is not the median {median} of its runs")
     return found
 
 
@@ -66,7 +65,8 @@ def _run_values(runs, metric: str) -> list[float] | None:
         return None
     values = []
     for run in runs:
-        entry = run.get("metrics", {}).get(metric) if isinstance(run, dict) else None
+        metrics = run.get("metrics") if isinstance(run, dict) else None
+        entry = metrics.get(metric) if isinstance(metrics, dict) else None
         value = entry.get("value") if isinstance(entry, dict) else None
         if not _is_number(value):
             return None
