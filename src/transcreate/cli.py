@@ -1,7 +1,7 @@
 """Single entry-point command with subcommands for batch operation.
 
-Exit codes: 0 success, 2 usage or file errors, 3 validation failures,
-4 gateway failures. Logs go to stderr; data goes to files or stdout.
+Exit codes: 0 success, 2 usage errors or missing/unreadable files, 3 validation
+failures, 4 gateway failures. Logs go to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 from . import corpus, pipeline, stats, textmetrics, validation
 from .errors import GatewayError, TranscreateError, ValidationError
-from .fileio import atomic_write_text, read_json, write_json
+from .fileio import MalformedLineError, atomic_write_text, read_json
 from .gateway import DEFAULT_BACKOFF_BASE_S, Gateway, HttpBackend, MockBackend, ProviderConfig
 
 EXIT_OK = 0
@@ -61,9 +61,9 @@ class RunConfig:
         config_path = getattr(args, "config", None)
         if config_path:
             try:
-                raw = read_json(config_path)
-            except ValueError as exc:
-                raise ValidationError(f"bad config: not valid JSON: {exc}") from exc
+                raw = read_json(config_path, "config file")
+            except MalformedLineError as exc:
+                raise ValidationError(f"bad config: {exc.reason} ({exc.path}:{exc.line_no})")
             if not isinstance(raw, dict):
                 raise ValidationError("bad config: the file must hold a JSON object")
             provider_settings = raw.pop("provider", {})
@@ -423,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, or unreadable
         _log(f"error: {exc}")
         return EXIT_USAGE
     except GatewayError as exc:

@@ -6,7 +6,6 @@ across concurrent pipeline workers.
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -16,22 +15,13 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import ValidationError
-from .fileio import write_jsonl
+from .fileio import MalformedLineError, read_json, read_jsonl, write_jsonl
 
 TOPIC_CODE_RE = re.compile(r"^\d\.[a-z]$")
 
 DEFAULT_CATEGORY_COUNT = 9
 DEFAULT_SUBCATEGORY_COUNT = 33
 DEFAULT_TAG_COUNT = 41
-
-
-class MalformedLineError(ValidationError):
-    """A JSONL items line could not be parsed into a valid ReadingItem."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 class DuplicateIdError(ValidationError):
@@ -284,31 +274,24 @@ class InterestProfile:
                 raise ValueError(f"likert value for {code} out of range: {value!r}")
 
 
-def _data_text(name: str) -> str:
-    return resources.files("transcreate").joinpath("data").joinpath(name).read_text("utf-8")
+def _bundled(name: str) -> Path:
+    return Path(str(resources.files("transcreate") / "data" / name))
 
 
 def load_items(path: str | Path) -> list[ReadingItem]:
     """Load reading items from a JSONL file, one item per line, order preserved."""
     items: list[ReadingItem] = []
     seen: set[str] = set()
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"items file not found: {path}")
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                item = ReadingItem.from_dict(data)
-            except (ValueError, KeyError, TypeError) as exc:
-                reason = str(exc) if not isinstance(exc, KeyError) else f"missing field {exc}"
-                raise MalformedLineError(line_no, reason) from exc
-            if item.id in seen:
-                raise DuplicateIdError(item.id)
-            seen.add(item.id)
-            items.append(item)
+    for line_no, data in read_jsonl(path, "items file"):
+        try:
+            item = ReadingItem.from_dict(data)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            reason = str(exc) if not isinstance(exc, KeyError) else f"missing field {exc}"
+            raise MalformedLineError(path, line_no, reason) from exc
+        if item.id in seen:
+            raise DuplicateIdError(item.id)
+        seen.add(item.id)
+        items.append(item)
     return items
 
 
@@ -342,28 +325,17 @@ def load_taxonomy(path: str | Path | None = None) -> TopicTaxonomy:
     The bundled default must carry exactly 9 categories and 33 subcategories;
     user-supplied files only warn on a count mismatch.
     """
-    if path is None:
-        taxonomy = _parse_taxonomy(json.loads(_data_text("taxonomy.json")))
-        if (
-            taxonomy.category_count != DEFAULT_CATEGORY_COUNT
-            or taxonomy.subcategory_count != DEFAULT_SUBCATEGORY_COUNT
-        ):
-            raise MalformedTaxonomyError(
-                "bundled taxonomy is corrupt: "
-                f"{taxonomy.category_count} categories / {taxonomy.subcategory_count} subcategories"
-            )
-        return taxonomy
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"taxonomy file not found: {path}")
-    try:
-        taxonomy = _parse_taxonomy(json.loads(path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise MalformedTaxonomyError(f"taxonomy is not valid JSON: {exc}") from exc
+    data = read_json(_bundled("taxonomy.json") if path is None else path, "taxonomy file")
+    taxonomy = _parse_taxonomy(data)
     if (
         taxonomy.category_count != DEFAULT_CATEGORY_COUNT
         or taxonomy.subcategory_count != DEFAULT_SUBCATEGORY_COUNT
     ):
+        if path is None:
+            raise MalformedTaxonomyError(
+                "bundled taxonomy is corrupt: "
+                f"{taxonomy.category_count} categories / {taxonomy.subcategory_count} subcategories"
+            )
         warnings.warn(
             CountMismatchWarning(
                 f"taxonomy has {taxonomy.category_count} categories and "
@@ -386,19 +358,11 @@ def _parse_tagset(data: Any) -> TagSet:
 
 def load_tagset(path: str | Path | None = None) -> TagSet:
     """Load a tag set; without a path, the bundled 41-tag default is used."""
-    if path is None:
-        tagset = _parse_tagset(json.loads(_data_text("tagset.json")))
-        if len(tagset) != DEFAULT_TAG_COUNT:
-            raise MalformedTagSetError(f"bundled tag set is corrupt: {len(tagset)} tags")
-        return tagset
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"tag set file not found: {path}")
-    try:
-        tagset = _parse_tagset(json.loads(path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise MalformedTagSetError(f"tag set is not valid JSON: {exc}") from exc
+    data = read_json(_bundled("tagset.json") if path is None else path, "tag set file")
+    tagset = _parse_tagset(data)
     if len(tagset) != DEFAULT_TAG_COUNT:
+        if path is None:
+            raise MalformedTagSetError(f"bundled tag set is corrupt: {len(tagset)} tags")
         warnings.warn(
             CountMismatchWarning(
                 f"tag set has {len(tagset)} tags (bundled default: {DEFAULT_TAG_COUNT})"
@@ -412,15 +376,11 @@ def load_profiles(path: str | Path, taxonomy: TopicTaxonomy) -> list[InterestPro
 
     The Likert map must cover every taxonomy subcategory.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"profiles file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedProfileError(f"profiles file is not valid JSON: {exc}") from exc
+    raw = read_json(path, "profiles file")
     if isinstance(raw, Mapping):
         raw = [raw]
+    if not isinstance(raw, list):
+        raise MalformedProfileError("profiles file must hold a JSON array of profiles")
     profiles = []
     for entry in raw:
         try:
@@ -430,7 +390,7 @@ def load_profiles(path: str | Path, taxonomy: TopicTaxonomy) -> list[InterestPro
                 top_interests=tuple(entry["top_interests"]),
                 least_interests=frozenset(entry.get("least_interests", [])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedProfileError(f"bad profile entry: {exc}") from exc
         for code in profile.likert:
             if code not in taxonomy:

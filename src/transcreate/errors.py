@@ -1,7 +1,7 @@
 """Shared exception hierarchy.
 
-The CLI maps these families to exit codes: missing files and bad usage
-exit 2, :class:`ValidationError` exits 3, :class:`GatewayError` exits 4.
+The CLI maps these families to exit codes: bad usage and unopenable files
+(any ``OSError``) exit 2, :class:`ValidationError` exits 3, :class:`GatewayError` exits 4.
 """
 
 

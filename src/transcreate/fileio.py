@@ -1,4 +1,8 @@
-"""Small file helpers: atomic writes, JSONL output and JSON round trips."""
+"""Small file helpers: atomic writes, and the one reader of input files.
+
+A missing input raises ``FileNotFoundError("<what> not found: <path>")``, other
+unopenable paths ``OSError``, and non-UTF-8 or non-JSON text :class:`MalformedLineError`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,19 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable
+from typing import IO, Any, Iterable, Iterator
+
+from .errors import ValidationError
+
+
+class MalformedLineError(ValidationError):
+    """A line of an input file is not UTF-8, not JSON, or not what its loader takes."""
+
+    def __init__(self, path: str | Path, line_no: int, reason: str):
+        super().__init__(f"{path}:{line_no}: {reason}")
+        self.path = path
+        self.line_no = line_no
+        self.reason = reason
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -35,9 +51,44 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def write_json(path: str | Path, obj: Any) -> None:
-    atomic_write_text(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+def _open(path: str | Path, what: str) -> IO[bytes]:
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
 
 
-def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _decode(path: str | Path, raw: bytes, first_line: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = first_line + raw.count(b"\n", 0, exc.start)
+        raise MalformedLineError(path, line_no, "not UTF-8 text") from exc
+
+
+def _parse(path: str | Path, text: str, first_line: int) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = f"not valid JSON: {exc.msg} at column {exc.colno}"
+        raise MalformedLineError(path, first_line + exc.lineno - 1, reason) from exc
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of a whole file; ``what`` names the file in errors."""
+    with _open(path, what) as handle:
+        return _decode(path, handle.read(), 1)
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON value a whole file holds; ``what`` names the file in errors."""
+    return _parse(path, read_text(path, what), 1)
+
+
+def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line_no, value)`` for each non-blank line, reading as it goes."""
+    with _open(path, what) as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            raw = raw.rstrip()  # so an error at the line's end is on this line
+            if raw:
+                yield line_no, _parse(path, _decode(path, raw, line_no), line_no)

@@ -22,6 +22,7 @@ from typing import Any, Mapping, Protocol
 import requests
 
 from .errors import GatewayError, ValidationError
+from .fileio import read_json, read_text
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -71,6 +72,10 @@ class MockScriptError(GatewayError):
     pass
 
 
+class MalformedMockScriptError(ValidationError):
+    pass
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """A named prompt: fixed system text plus a user template with {placeholders}."""
@@ -106,7 +111,7 @@ def load_template(path: str | Path, name: str | None = None) -> PromptTemplate:
     placeholders and are ignored.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, "prompt template").splitlines()
     section = None
     system_lines: list[str] = []
     user_lines: list[str] = []
@@ -195,15 +200,17 @@ class MockBackend:
     """
 
     def __init__(self, script: Mapping[str, list[Any]]):
+        if not isinstance(script, Mapping) or not all(
+            isinstance(entries, list) and all(isinstance(e, (str, dict)) for e in entries)
+            for entries in script.values()
+        ):
+            raise MalformedMockScriptError("a mock script maps each step to a list of replies")
         self._queues = {step: deque(entries) for step, entries in script.items()}
         self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"mock script not found: {path}")
-        return cls(json.loads(path.read_text(encoding="utf-8")))
+        return cls(read_json(path, "mock script"))
 
     def send(self, request: CompletionRequest, step: str | None) -> str:
         key = step or "*"

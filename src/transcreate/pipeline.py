@@ -28,7 +28,7 @@ from .corpus import (
     UnknownTopicError,
 )
 from .errors import GatewayError, ValidationError
-from .fileio import write_jsonl
+from .fileio import MalformedLineError, read_jsonl, write_jsonl
 from .gateway import CompletionRequest, Gateway, PromptTemplate, load_prompt_dir, render_template
 from .textmetrics import tokenize_words
 
@@ -479,29 +479,17 @@ def load_records(path: str | Path) -> list[TranscreationRecord]:
     A ``"format": 2`` line takes its source and steps 1-3 exchanges from
     the nearest earlier line whose record id its ``same_as`` names. A
     malformed line, or a reference to no earlier line, raises
-    :class:`ValidationError` naming ``path:line``.
+    :class:`MalformedLineError` naming ``path:line``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"records file not found: {path}")
     records: list[TranscreationRecord] = []
     latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{path}:{line_no}: not valid JSON: {exc.msg} at column {exc.colno}"
-                ) from exc
-            try:
-                record = _record_from_line(data, latest)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{line_no}: bad record: {exc}") from exc
-            latest[record.record_id] = record
-            records.append(record)
+    for line_no, data in read_jsonl(path, "records file"):
+        try:
+            record = _record_from_line(data, latest)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise MalformedLineError(path, line_no, f"bad record: {exc}") from exc
+        latest[record.record_id] = record
+        records.append(record)
     return records
 
 

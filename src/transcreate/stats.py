@@ -7,7 +7,6 @@ tie-corrected normal approximation beyond that. All functions are pure.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_left
@@ -18,6 +17,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .corpus import BloomLevel, ReadingItem
 from .errors import ValidationError
+from .fileio import read_json
 from .textmetrics import mean_std
 
 POINTS_PER_QUESTION = 5
@@ -87,13 +87,9 @@ class StudentRecord:
 
 def load_student_records(path: str | Path) -> list[StudentRecord]:
     """Load a JSON array of student records."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"student records file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"student records file is not valid JSON: {exc}") from exc
+    raw = read_json(path, "student records file")
+    if not isinstance(raw, list):
+        raise MalformedRecordError("student records file must hold a JSON array")
     records = []
     for entry in raw:
         try:
@@ -123,7 +119,7 @@ def load_student_records(path: str | Path) -> list[StudentRecord]:
                     },
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedRecordError(f"bad student record: {exc}") from exc
     return records
 
@@ -467,26 +463,25 @@ def wilcoxon_signed_rank(
     w2_plus = sum(r for r, d in zip(ranks2, diffs) if d > 0)
     total2 = sum(ranks2)
     w2_minus = total2 - w2_plus
-    statistic = min(w2_plus, w2_minus) / 2.0
+    t2 = min(w2_plus, w2_minus)
+    statistic = t2 / 2.0
     m = len(diffs)
     n_desc = {"pairs": len(x), "nonzero": m, "zeros_dropped": zeros}
 
     if m <= WILCOXON_EXACT_LIMIT:
-        # Distribution of 2*W+ over all sign patterns, as exact counts.
-        counts = [0] * (total2 + 1)
-        counts[0] = 1
+        # Counts of 2*W+ over all sign patterns in `width`-bit slots, one shift-add per
+        # rank; they sum to 2**m < 2**width - 1, so slots 0..t2 sum to the masked poly mod it.
+        width = m + 1
+        poly = 1
         for rank2 in ranks2:
-            for s in range(total2, rank2 - 1, -1):
-                counts[s] += counts[s - rank2]
-        t2 = min(w2_plus, w2_minus)
-        favorable = sum(counts[: t2 + 1])
+            poly += poly << rank2 * width
+        favorable = (poly & ((1 << (t2 + 1) * width) - 1)) % ((1 << width) - 1)
         p_one = favorable / (1 << m)
         method = "exact"
     else:
         mean2 = total2 / 2.0
         var2 = sum(r * r for r in ranks2) / 4.0  # Var(2W+) = sum (2r)^2 /4
         sd2 = math.sqrt(var2)
-        t2 = min(w2_plus, w2_minus)
         if sd2 == 0:
             p_one = 1.0
         else:
@@ -521,28 +516,33 @@ def mann_whitney_u(
     r2_a = sum(ranks2[:n_a])
     u2_a = 2 * n_a * n_b + n_a * (n_a + 1) - r2_a  # doubled U_a
     u2_b = 2 * n_a * n_b - u2_a
-    statistic = min(u2_a, u2_b) / 2.0
+    u2_min = min(u2_a, u2_b)
+    statistic = u2_min / 2.0
     n_desc = {"n_a": n_a, "n_b": n_b}
     total = n_a + n_b
 
     if total <= MANNWHITNEY_EXACT_LIMIT:
         # rows[j] counts the size-j subsets of the doubled ranks by rank sum,
-        # one slot of `width` bits per sum. No count reaches 2**total, so no
-        # slot overflows, and each rank is one shift-add per subset size.
+        # one slot of `width` bits per sum, up to the smaller sample's size. No
+        # count reaches 2**total, so no slot overflows; each rank is one
+        # shift-add per subset size.
         width = total + 1
-        rows = [1] + [0] * n_a
+        n_small = min(n_a, n_b)
+        rows = [1] + [0] * n_small
         for rank2 in ranks2:
             shift = rank2 * width
-            for chosen in range(n_a, 0, -1):
+            for chosen in range(n_small, 0, -1):
                 rows[chosen] += rows[chosen - 1] << shift
-        # U_a <= u  <=>  R2_a >= 2*n_a*n_b + n_a*(n_a+1) - 2u; use the doubled
-        # observed minimum directly. The slots at or above the threshold sum
-        # to less than 2**width - 1, so their sum is the shifted row modulo it.
-        u2_min = min(u2_a, u2_b)
-        threshold = 2 * n_a * n_b + n_a * (n_a + 1) - u2_min
-        favorable = (rows[n_a] >> threshold * width) % ((1 << width) - 1)
-        total_labelings = math.comb(total, n_a)
-        p_one = favorable / total_labelings
+        # U_a <= u  <=>  R2_a >= 2*n_a*n_b + n_a*(n_a+1) - 2u  <=>  (for the
+        # complementary labels) R2_b <= n_b*(n_b+1) + 2u; use the doubled
+        # observed minimum directly. The slots in the tail sum to less than
+        # 2**width - 1, so their sum is the shifted or masked row modulo it.
+        if n_a == n_small:
+            tail = rows[n_a] >> (2 * n_a * n_b + n_a * (n_a + 1) - u2_min) * width
+        else:
+            tail = rows[n_b] & ((1 << (n_b * (n_b + 1) + u2_min + 1) * width) - 1)
+        favorable = tail % ((1 << width) - 1)
+        p_one = favorable / math.comb(total, n_a)
         method = "exact"
     else:
         mean = n_a * n_b / 2.0
@@ -551,11 +551,10 @@ def mann_whitney_u(
             tie_counts[rank2] = tie_counts.get(rank2, 0) + 1
         tie_term = sum(t**3 - t for t in tie_counts.values())
         var = (n_a * n_b / 12.0) * ((total + 1) - tie_term / (total * (total - 1)))
-        u_min = min(u2_a, u2_b) / 2.0
         if var <= 0:
             p_one = 1.0
         else:
-            z = (u_min - mean + 0.5) / math.sqrt(var)
+            z = (statistic - mean + 0.5) / math.sqrt(var)
             p_one = _normal_cdf(z)
         method = "normal-approx"
 

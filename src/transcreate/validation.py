@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -40,6 +40,10 @@ class EmptyVerdictSetError(ValidationError):
 
 
 class QueueExistsError(ValidationError):
+    pass
+
+
+class MalformedQueueError(ValidationError):
     pass
 
 
@@ -416,18 +420,17 @@ class ReviewQueue:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReviewQueue":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"queue file not found: {path}")
-        data = read_json(path)
-        return cls(
-            entries=[QueueEntry.from_dict(e) for e in data["entries"]],
-            path=path,
-            log=[ReviewDecision.from_dict(d) for d in data["log"]],
-        )
+        data = read_json(path, "queue file")
+        try:
+            entries = [QueueEntry.from_dict(e) for e in data["entries"]]
+            log = [ReviewDecision.from_dict(d) for d in data["log"]]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            reason = str(exc) if not isinstance(exc, KeyError) else f"missing field {exc}"
+            raise MalformedQueueError(f"bad queue {path}: {reason}") from exc
+        return cls(entries, path, log)
 
     def save(self) -> None:
-        """Write the queue as ``write_json`` would, re-encoding only what changed.
+        """Write the queue as ``json.dumps(..., indent=2)`` would, re-encoding only what changed.
 
         Only entries changed by ``apply`` since the last save, and decisions
         appended to the log since then, are encoded again; the rest of the
@@ -461,16 +464,7 @@ class ReviewQueue:
         if decision.verdict == "edit":
             old_words = len(tokenize_words(entry.passage))
             new_words = len(tokenize_words(decision.new_passage))
-            decision = ReviewDecision(
-                item_id=decision.item_id,
-                verdict=decision.verdict,
-                reviewer_id=decision.reviewer_id,
-                timestamp=decision.timestamp,
-                new_passage=decision.new_passage,
-                reason=decision.reason,
-                unanswerable_questions=decision.unanswerable_questions,
-                added_word_count=max(new_words - old_words, 0),
-            )
+            decision = replace(decision, added_word_count=max(new_words - old_words, 0))
             entry.passage = decision.new_passage
         entry.decision = decision
         self.log.append(decision)

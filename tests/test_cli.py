@@ -483,6 +483,116 @@ class TestFlags:
         assert loads == [None]
 
 
+def students_with_answers(workdir):
+    path = workdir / "students.json"
+    path.write_text(json.dumps([{"student_id": "s1", "toefl": 90.0,
+                                 "test_answers": {"test1": [0, 1, 2, 3, 0]}}]),
+                    encoding="utf-8")
+    return path
+
+
+def file_flag_argv(workdir, command, flag, path):
+    """A run of ``command`` whose other inputs are valid and ``flag`` reads ``path``."""
+    out = workdir / "result.out"
+    if command == "transcreate":
+        argv = transcreate_argv(workdir, out.name)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = path
+            return argv
+        return argv + [flag, path]
+    if command == "ingest":
+        return ["ingest", "--in", path, "--out", out]
+    if command == "judge":
+        script = workdir / "judge_script.json"
+        script.write_text(json.dumps({"judge_bloom": BLOOM_CYCLE}), encoding="utf-8")
+        return ["judge", "--in", path, "--mock", script, "--out", out]
+    if command == "stats":  # the config is read first
+        return ["stats", "--records", students_with_answers(workdir),
+                "--key", f"test1={workdir / 'items.jsonl'}", "--config", path, "--out", out]
+    if command == "split":
+        return ["split", "--records", path, "--group-size", "1", "--out", out]
+    if command == "score":
+        return ["score", "--records", students_with_answers(workdir), "--key", path,
+                "--test", "test1", "--out", out]
+    assert command == "qa-report"
+    return ["qa-report", "--queue", path, "--out", out]
+
+
+class TestInputFiles:
+    """Every file-reading flag: a bad path exits 2, bad text exits 3, one line each."""
+
+    FLAGS = [("ingest", "--in"), ("judge", "--in"), ("transcreate", "--profiles"),
+             ("transcreate", "--taxonomy"), ("transcreate", "--tagset"),
+             ("transcreate", "--mock"), ("stats", "--config"), ("split", "--records"),
+             ("score", "--key"), ("qa-report", "--queue")]
+    CASES = [("missing", 2), ("directory", 2), ("not UTF-8", 3), ("not JSON", 3)]
+
+    @pytest.mark.parametrize("case, code", CASES, ids=[case for case, _ in CASES])
+    @pytest.mark.parametrize("command, flag", FLAGS)
+    def test_bad_input_file(self, workdir, capsys, command, flag, case, code):
+        path = workdir / "bad-input"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not UTF-8":
+            path.write_bytes(b'{"id": "caf\xe9"}\n')
+        elif case == "not JSON":
+            path.write_text("{broken\n", encoding="utf-8")
+        argv = file_flag_argv(workdir, command, flag, path)
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert str(path) in line
+        assert not (workdir / "result.out").exists()
+
+    @pytest.mark.parametrize("case, code", [("directory", 2), ("not UTF-8", 3)])
+    def test_bad_prompt_template(self, workdir, capsys, case, code):
+        template = workdir / "prompts" / "judge_bloom.txt"
+        if case == "directory":
+            template.mkdir(parents=True)
+        else:
+            template.parent.mkdir()
+            template.write_bytes(b"[system]\ncaf\xe9\n[user]\n{question}\n")
+        records = workdir / "records.jsonl"
+        records.write_text("", encoding="utf-8")
+        argv = file_flag_argv(workdir, "judge", "--in", records)
+        capsys.readouterr()
+        assert run(argv + ["--prompts", template.parent]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert str(template) in line
+        assert not (workdir / "result.out").exists()
+
+    @pytest.mark.parametrize("command, flag, content, message", [
+        ("transcreate", "--profiles", "5", "must hold a JSON array of profiles"),
+        ("transcreate", "--profiles", '[{"student_id": "s", "likert": [4]}]', "bad profile"),
+        ("split", "--records", "5", "must hold a JSON array"),
+        ("split", "--records", '{"student_id": "s1", "toefl": 90}', "must hold a JSON array"),
+        ("split", "--records", '[{"student_id": "s1", "toefl": 90, "imms": []}]',
+         "bad student record"),
+        ("transcreate", "--mock", "5", "a mock script maps each step to a list"),
+        ("transcreate", "--mock", '{"extract_topic": "2.b"}',
+         "a mock script maps each step to a list"),
+        ("transcreate", "--mock", '{"extract_topic": [5]}',
+         "a mock script maps each step to a list"),
+        ("qa-report", "--queue", '{"entries": []}', "missing field 'log'"),
+        ("qa-report", "--queue", '{"log": []}', "missing field 'entries'"),
+        ("qa-report", "--queue", "[]", "bad queue"),
+        ("ingest", "--in", '{"id": "x", "passage": "P.", "questions": [5]}', ":1: "),
+    ])
+    def test_wrong_shape_exits_3(self, workdir, capsys, command, flag, content, message):
+        path = workdir / "bad-input"
+        path.write_text(content + "\n", encoding="utf-8")
+        argv = file_flag_argv(workdir, command, flag, path)
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+        assert not (workdir / "result.out").exists()
+
+
 class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 

@@ -78,6 +78,25 @@ class TestLoadItems:
         with pytest.raises(MalformedLineError) as err:
             load_items(path)
         assert err.value.line_no == 2
+        assert str(err.value).startswith(f"{path}:2: not valid JSON: ")
+
+    def test_errors_name_path_and_line(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        write_jsonl_file(path, [item_row("a1"), item_row("a2", n_options=3)])
+        with pytest.raises(MalformedLineError, match="expected 4 options") as err:
+            load_items(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+        path.write_bytes(json.dumps(item_row("a1")).encode() + b'\n\n{"id": "\xe9"}\n')
+        with pytest.raises(MalformedLineError) as err:
+            load_items(path)
+        assert str(err.value) == f"{path}:3: not UTF-8 text"
+
+    def test_question_of_wrong_type_is_a_line_error(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        write_jsonl_file(path, [item_row(questions=[5])])
+        with pytest.raises(MalformedLineError) as err:
+            load_items(path)
+        assert err.value.line_no == 1
 
     def test_round_trip(self, tmp_path):
         items = [
@@ -252,6 +271,25 @@ class TestProfiles:
         path = tmp_path / "p.json"
         path.write_text(json.dumps([payload]), encoding="utf-8")
         with pytest.raises(MalformedProfileError, match="missing likert"):
+            load_profiles(path, taxonomy)
+
+    def test_one_object_is_one_profile(self, tmp_path, taxonomy):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(self.profile_payload(taxonomy)), encoding="utf-8")
+        assert [p.student_id for p in load_profiles(path, taxonomy)] == ["s1"]
+
+    @pytest.mark.parametrize("content", ["5", '"s1"', "null"])
+    def test_not_an_array_fails(self, tmp_path, taxonomy, content):
+        path = tmp_path / "p.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MalformedProfileError, match="must hold a JSON array"):
+            load_profiles(path, taxonomy)
+
+    def test_likert_not_an_object_fails(self, tmp_path, taxonomy):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([self.profile_payload(taxonomy, likert=[4])]),
+                        encoding="utf-8")
+        with pytest.raises(MalformedProfileError, match="bad profile entry"):
             load_profiles(path, taxonomy)
 
     def test_likert_range(self, taxonomy):

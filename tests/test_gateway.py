@@ -20,6 +20,7 @@ from transcreate.gateway import (
     MissingApiKeyError,
     MissingBindingError,
     MockBackend,
+    MalformedMockScriptError,
     MockScriptError,
     PromptTemplate,
     ProviderConfig,
@@ -149,6 +150,14 @@ class TestMockBackend:
         path.write_text(json.dumps({"step": ["reply"]}), encoding="utf-8")
         gateway = Gateway(MockBackend.from_file(path), backoff_base_s=0)
         assert gateway.complete(request(), step="step") == "reply"
+
+    @pytest.mark.parametrize("script", [
+        5, ["reply"], {"extract_topic": "2.b"}, {"step": [5]}, {"step": [["reply"]]},
+    ])
+    def test_malformed_script_refused(self, script):
+        # A string queue would otherwise be split into one reply per character.
+        with pytest.raises(MalformedMockScriptError):
+            MockBackend(script)
 
 
 class TestRequestLog:

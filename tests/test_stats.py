@@ -27,8 +27,10 @@ from transcreate.stats import (
     StudentRecord,
     TooLargeError,
     balanced_split,
+    MalformedRecordError,
     experiment_report,
     likert_summary,
+    load_student_records,
     mann_whitney_u,
     render_report_text,
     score_test,
@@ -287,6 +289,18 @@ class TestMannWhitney:
             assert mine.method == "exact"
             assert mine.p_value == pytest.approx(theirs.pvalue, abs=1e-12)
 
+    def test_argument_order_does_not_change_p(self):
+        # Counted over subsets of the smaller sample either way round.
+        rng = random.Random(31)
+        big = [round(rng.uniform(0, 50), 3) for _ in range(MANNWHITNEY_EXACT_LIMIT - 1)]
+        for small in ([60.0], [-1.0], [big[3] + 0.0005]):
+            for sides in ("one", "two"):
+                forward = mann_whitney_u(big, small, sides=sides)
+                backward = mann_whitney_u(small, big, sides=sides)
+                assert forward.method == backward.method == "exact"
+                assert forward.statistic == backward.statistic
+                assert forward.p_value == backward.p_value
+
     def test_normal_approx_beyond_limit(self):
         rng = random.Random(10)
         a = [rng.uniform(0, 10) + 3 for _ in range(MANNWHITNEY_EXACT_LIMIT // 2 + 1)]
@@ -294,6 +308,20 @@ class TestMannWhitney:
         result = mann_whitney_u(a, b, sides="two")
         assert result.method == "normal-approx"
         assert 0 < result.p_value <= 1
+
+
+class TestLoadStudentRecords:
+    @pytest.mark.parametrize("content, reason", [
+        ("5", "must hold a JSON array"),
+        ('{"student_id": "s1", "toefl": 90}', "must hold a JSON array"),
+        ('[{"student_id": "s1", "toefl": 90, "test_answers": []}]', "bad student record"),
+        ('["s1"]', "bad student record"),
+    ])
+    def test_wrong_shape(self, tmp_path, content, reason):
+        path = tmp_path / "students.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=reason):
+            load_student_records(path)
 
 
 def scaled_ints(scores, scale=100):

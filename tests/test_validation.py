@@ -23,6 +23,7 @@ from transcreate.validation import (
     EmptyVerdictSetError,
     FlaggedQuestionError,
     IncompleteRecordError,
+    MalformedQueueError,
     JudgeFailure,
     JudgeVerdict,
     PendingEntriesError,
@@ -282,6 +283,19 @@ class TestReviewQueue:
         with pytest.raises(FlaggedQuestionError):
             queue.apply(self.decision("r1", unanswerable_questions=flags))
         assert queue.pending() and queue.log == []
+
+    @pytest.mark.parametrize("data, reason", [
+        ({"entries": []}, "missing field 'log'"),
+        ({"log": []}, "missing field 'entries'"),
+        ([], "list indices"),
+        ({"entries": [5], "log": []}, "has no attribute"),
+        ({"entries": [], "log": [{"item_id": "r1"}]}, "missing field 'verdict'"),
+    ])
+    def test_load_rejects_wrong_shape(self, tmp_path, data, reason):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MalformedQueueError, match=f"bad queue .*{reason}"):
+            ReviewQueue.load(path)
 
     def test_load_rejects_bad_flags(self, tmp_path):
         path = tmp_path / "q.json"
