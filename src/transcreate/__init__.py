@@ -22,9 +22,9 @@ from .errors import GatewayError, TranscreateError, ValidationError
 from .gateway import CompletionRequest, Gateway, MockBackend, PromptTemplate, ProviderConfig
 from .pipeline import (
     TaggedPassage,
-    TopicAssignment,
     TranscreationPipeline,
     TranscreationRecord,
+    Work,
     assign_topics,
     load_records,
     save_records,

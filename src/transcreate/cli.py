@@ -40,9 +40,9 @@ class RunConfig:
     tagset_path: str | None = None
     prompts_dir: str | None = None
     rng_seed: int = 0
-    retry_budget: int = 3
-    length_envelope: float = 0.25
-    alpha: float = 0.01
+    retry_budget: int = pipeline.DEFAULT_RETRY_BUDGET
+    length_envelope: float = pipeline.DEFAULT_LENGTH_ENVELOPE
+    alpha: float = stats.DEFAULT_ALPHA
     mock_script_path: str | None = None
     request_log: str | None = None
 
@@ -158,19 +158,11 @@ def cmd_transcreate(args: argparse.Namespace) -> int:
     items = corpus.load_items(args.in_path)
     taxonomy = corpus.load_taxonomy(config.taxonomy_path)
     profiles = corpus.load_profiles(args.profiles, taxonomy)
-    assignments = pipeline.assign_topics(
-        profiles, items, args.mode, config.rng_seed, taxonomy
-    )
+    work = pipeline.assign_topics(profiles, items, args.mode, config.rng_seed, taxonomy)
     jobs = args.jobs
     if config.mock_script_path and jobs != 1:
         _log("mock runs are forced to --jobs 1 to stay deterministic")
         jobs = 1
-    items_by_id = {item.id: item for item in items}
-    work = [
-        (items_by_id[target.item_id], target.topic, assignment.student_id, target.mode)
-        for assignment in assignments
-        for target in assignment.targets
-    ]
     gateway = config.build_gateway()
     try:
         records = config.build_pipeline(gateway, taxonomy).transcreate_many(work, jobs=jobs)
@@ -319,11 +311,12 @@ _CONFIG_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "tagset_path": ("--tagset", {"help": "tag set JSON path"}),
     "prompts_dir": ("--prompts", {"help": "prompt template directory"}),
     "rng_seed": ("--seed", {"type": int, "help": "RNG seed (default 0)"}),
-    "retry_budget": ("--retry-budget", {
-        "type": int, "help": "reply-violation retries per step, >= 0 (default 3)"}),
-    "length_envelope": ("--length-envelope", {
-        "type": float, "help": "allowed relative word-count deviation (default 0.25)"}),
-    "alpha": ("--alpha", {"type": float, "help": "significance threshold (default 0.01)"}),
+    "retry_budget": ("--retry-budget", {"type": int, "help": (
+        f"reply-violation retries per step, >= 0 (default {pipeline.DEFAULT_RETRY_BUDGET})")}),
+    "length_envelope": ("--length-envelope", {"type": float, "help": (
+        f"allowed relative word-count deviation (default {pipeline.DEFAULT_LENGTH_ENVELOPE})")}),
+    "alpha": ("--alpha", {"type": float, "help": (
+        f"significance threshold (default {stats.DEFAULT_ALPHA})")}),
     "mock_script_path": ("--mock", {
         "help": "mock script JSON; switches the gateway to scripted replies"}),
     "request_log": ("--log", {"help": "append-only JSONL request log path"}),

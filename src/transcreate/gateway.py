@@ -152,15 +152,7 @@ def load_prompt_dir(directory: str | Path) -> dict[str, PromptTemplate]:
 class CompletionRequest:
     system: str
     user: str
-    temperature: float = 0.0
     seed: int | None = None
-    max_output_tokens: int = 2048
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be > 0")
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,8 @@ class MockBackend:
     """Scripted backend: a map from step name to a FIFO queue of replies.
 
     Each queue entry is either a response string or ``{"error": "timeout"}`` /
-    ``{"error": "http", "status": 503}`` to make that attempt fail.
+    ``{"error": "http", "status": 503}`` (status optional, default 500) to
+    make that attempt fail. Any other entry is refused here, before any call.
     """
 
     def __init__(self, script: Mapping[str, list[Any]]):
@@ -205,6 +198,13 @@ class MockBackend:
             for entries in script.values()
         ):
             raise MalformedMockScriptError("a mock script maps each step to a list of replies")
+        for step, entries in script.items():
+            for entry in entries:
+                if isinstance(entry, dict) and not _is_scripted_failure(entry):
+                    raise MalformedMockScriptError(
+                        f"bad mock script entry for step {step!r}: {entry!r}; "
+                        'a failure is {"error": "timeout"} or {"error": "http", "status": N}'
+                    )
         self._queues = {step: deque(entries) for step, entries in script.items()}
         self._lock = threading.Lock()
 
@@ -223,12 +223,18 @@ class MockBackend:
             entry = queue.popleft()
         if isinstance(entry, str):
             return entry
-        kind = entry.get("error")
-        if kind == "timeout":
+        if entry["error"] == "timeout":
             raise GatewayTimeoutError("scripted timeout")
-        if kind == "http":
-            raise HttpStatusError(int(entry.get("status", 500)), "scripted failure")
-        raise MockScriptError(f"bad mock script entry: {entry!r}")
+        raise HttpStatusError(entry.get("status", 500), "scripted failure")
+
+
+def _is_scripted_failure(entry: Mapping[str, Any]) -> bool:
+    """``{"error": "timeout"}``, or ``{"error": "http"}`` with an optional integer status."""
+    if entry == {"error": "timeout"}:
+        return True
+    status = entry.get("status", 500)
+    return (entry.get("error") == "http" and set(entry) <= {"error", "status"}
+            and isinstance(status, int) and not isinstance(status, bool))
 
 
 class HttpBackend:
@@ -269,8 +275,8 @@ class HttpBackend:
                 {"role": "system", "content": request.system},
                 {"role": "user", "content": request.user},
             ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": 0.0,
+            "max_tokens": 2048,
         }
         if request.seed is not None:
             body["seed"] = request.seed
@@ -304,7 +310,7 @@ def _is_transient(error: GatewayError) -> bool:
 class Gateway:
     """Thread-safe completion front end with retries and an in-flight cap.
 
-    Callers may invoke :meth:`complete` from any number of threads; at most
+    Callers may invoke :meth:`complete_ex` from any number of threads; at most
     ``max_in_flight`` requests are outstanding at once. A call waiting out a
     retry backoff holds no slot.
     """
@@ -380,9 +386,6 @@ class Gateway:
             return CompletionResult(text=text, attempts=attempt + 1, latency_s=latency)
         # Reached only with max_retries < 0, when no attempt was made.
         raise RetriesExhaustedError(self.max_retries + 1, GatewayError("no attempt"))
-
-    def complete(self, request: CompletionRequest, step: str | None = None) -> str:
-        return self.complete_ex(request, step).text
 
     def close(self) -> None:
         """Release the backend's connections, if it holds any."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     BloomLevel,
@@ -257,7 +257,6 @@ def ask_validated(
     *,
     step: str,
     retry_budget: int,
-    temperature: float,
     seed: int | None,
     retry_line: str,
 ) -> Any:
@@ -273,8 +272,7 @@ def ask_validated(
     last_error: ValidationError | None = None
     try:
         for _ in range(retry_budget + 1):
-            request = CompletionRequest(system=system, user=corrective,
-                                        temperature=temperature, seed=seed)
+            request = CompletionRequest(system=system, user=corrective, seed=seed)
             result = gateway.complete_ex(request, step=step)
             if exchanges is not None:
                 exchanges.append(Exchange(system, corrective, result.text, result.attempts))
@@ -293,14 +291,10 @@ def ask_validated(
 
 @dataclass(frozen=True)
 class RecordStatus:
-    state: str  # "complete" | "failed"
+    state: str = "complete"  # "complete" | "failed"
     step: int | None = None
     reason: str | None = None
     gateway_failure: bool = False
-
-    @classmethod
-    def complete(cls) -> "RecordStatus":
-        return cls(state="complete")
 
     @classmethod
     def failed(cls, step: int, reason: str, gateway_failure: bool = False) -> "RecordStatus":
@@ -347,7 +341,7 @@ class TranscreationRecord:
     step_exchanges: dict[str, list[Exchange]] = field(
         default_factory=lambda: {name: [] for name in STEP_NAMES.values()}
     )
-    status: RecordStatus = field(default_factory=RecordStatus.complete)
+    status: RecordStatus = field(default_factory=RecordStatus)
 
     @property
     def record_id(self) -> str:
@@ -550,7 +544,7 @@ class ItemAnalysis:
     step_exchanges: dict[str, list[Exchange]] = field(
         default_factory=lambda: {STEP_NAMES[n]: [] for n in (1, 2, 3)}
     )
-    status: RecordStatus = field(default_factory=RecordStatus.complete)
+    status: RecordStatus = field(default_factory=RecordStatus)
 
 
 def _run_steps(steps: Sequence[tuple[int, Callable[[], None]]]) -> RecordStatus:
@@ -564,7 +558,16 @@ def _run_steps(steps: Sequence[tuple[int, Callable[[], None]]]) -> RecordStatus:
             )
         except ValidationError as exc:
             return RecordStatus.failed(number, f"{type(exc).__name__}: {exc}")
-    return RecordStatus.complete()
+    return RecordStatus()
+
+
+class Work(NamedTuple):
+    """One record to make: an item, its target topic, and whom and how it was assigned."""
+
+    item: ReadingItem
+    target_topic: str
+    student_id: str | None
+    mode: str | None
 
 
 class TranscreationPipeline:
@@ -579,7 +582,6 @@ class TranscreationPipeline:
         *,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
         length_envelope: float = DEFAULT_LENGTH_ENVELOPE,
-        temperature: float = 0.0,
         seed: int | None = 0,
     ):
         if retry_budget < 0:
@@ -592,7 +594,6 @@ class TranscreationPipeline:
         self.templates = dict(templates) if templates is not None else load_templates()
         self.retry_budget = retry_budget
         self.length_envelope = length_envelope
-        self.temperature = temperature
         self.seed = seed
         missing = [name for name in STEP_NAMES.values() if name not in self.templates]
         if missing:
@@ -607,8 +608,8 @@ class TranscreationPipeline:
     ) -> Any:
         return ask_validated(
             self.gateway, self.templates[step_name], bindings, parse, exchanges,
-            step=step_name, retry_budget=self.retry_budget, temperature=self.temperature,
-            seed=self.seed, retry_line=STEP_RETRY_LINE,
+            step=step_name, retry_budget=self.retry_budget, seed=self.seed,
+            retry_line=STEP_RETRY_LINE,
         )
 
     # -- steps ----------------------------------------------------------------
@@ -861,12 +862,8 @@ class TranscreationPipeline:
         record.status = _run_steps([(4, step4), (5, step5)])
         return record
 
-    def transcreate_many(
-        self,
-        work: Sequence[tuple[ReadingItem, str, str | None, str | None]],
-        jobs: int = 1,
-    ) -> list[TranscreationRecord]:
-        """Transcreate (item, target, student_id, mode) tuples; output keeps input order.
+    def transcreate_many(self, work: Sequence[Work], jobs: int = 1) -> list[TranscreationRecord]:
+        """Transcreate each :class:`Work` entry; output keeps input order.
 
         Each item is analysed once, by the task of its first record; later
         records of the item, in any worker, wait for that analysis and share
@@ -904,40 +901,19 @@ class TranscreationPipeline:
 # -- topic assignment ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopicTarget:
-    item_id: str
-    topic: str
-    mode: str  # "random" | "interest"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"item_id": self.item_id, "topic": self.topic, "mode": self.mode}
-
-
-@dataclass(frozen=True)
-class TopicAssignment:
-    student_id: str
-    targets: tuple[TopicTarget, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "student_id": self.student_id,
-            "targets": [t.to_dict() for t in self.targets],
-        }
-
-
 def assign_topics(
     profiles: Sequence[InterestProfile],
     items: Sequence[ReadingItem],
     mode: str,
     rng_seed: int,
     taxonomy: TopicTaxonomy,
-) -> list[TopicAssignment]:
+) -> list[Work]:
     """Pick a target topic per (student, item); deterministic for a given seed.
 
     Random mode draws uniformly over the taxonomy minus the item's source
     topic; interest mode gives item k the student's k-th top interest,
-    repeating cyclically past four items.
+    repeating cyclically past four items. The work list is student-major:
+    every item for the first profile, then every item for the next.
     """
     if mode not in ("random", "interest"):
         raise ValueError(f"mode must be 'random' or 'interest', not {mode!r}")
@@ -949,9 +925,8 @@ def assign_topics(
         if item.source_topic is not None and item.source_topic not in taxonomy:
             raise UnknownTopicError(item.source_topic, f"source topic of item {item.id}")
     rng = random.Random(rng_seed)
-    assignments = []
+    work = []
     for profile in profiles:
-        targets = []
         for idx, item in enumerate(items):
             if mode == "interest":
                 topic = profile.top_interests[idx % len(profile.top_interests)]
@@ -962,6 +937,5 @@ def assign_topics(
                         f"no eligible topics for item {item.id} after excluding its source"
                     )
                 topic = rng.choice(eligible)
-            targets.append(TopicTarget(item_id=item.id, topic=topic, mode=mode))
-        assignments.append(TopicAssignment(student_id=profile.student_id, targets=tuple(targets)))
-    return assignments
+            work.append(Work(item, topic, profile.student_id, mode))
+    return work

@@ -21,6 +21,7 @@ from .fileio import read_json
 from .textmetrics import mean_std
 
 POINTS_PER_QUESTION = 5
+DEFAULT_ALPHA = 0.01
 IMMS_SUBSCALES = ("Attention", "Relevance", "Confidence", "Satisfaction")
 
 SPLIT_EXACT_LIMIT = 16  # max group size for the exact split
@@ -47,6 +48,10 @@ class NoResponsesError(ValidationError):
 
 class MalformedRecordError(ValidationError):
     pass
+
+
+class InvalidArgumentError(ValidationError, ValueError):
+    """An argument outside what the analysis accepts, such as a wrong count."""
 
 
 # -- data model -------------------------------------------------------------------
@@ -85,25 +90,43 @@ class StudentRecord:
                     raise ValueError(f"answer out of range in {test_id}: {answer!r}")
 
 
+def _finite(value: Any, what: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def load_student_records(path: str | Path) -> list[StudentRecord]:
-    """Load a JSON array of student records."""
+    """Load a JSON array of student records.
+
+    Student ids must be unique strings, and ``toefl`` and turnaround times
+    finite numbers; any other record raises :class:`MalformedRecordError`.
+    """
     raw = read_json(path, "student records file")
     if not isinstance(raw, list):
         raise MalformedRecordError("student records file must hold a JSON array")
     records = []
+    seen: set[str] = set()
     for entry in raw:
         try:
+            student_id = entry["student_id"]
+            if not isinstance(student_id, str):
+                raise TypeError(f"student_id must be a string, got {student_id!r}")
+            if student_id in seen:
+                raise ValueError(f"duplicate student_id {student_id!r}")
+            seen.add(student_id)
             records.append(
                 StudentRecord(
-                    student_id=entry["student_id"],
-                    toefl=float(entry["toefl"]),
+                    student_id=student_id,
+                    toefl=_finite(entry["toefl"], "toefl"),
                     group=entry.get("group") or "unassigned",
                     test_answers={
                         test: tuple(answers)
                         for test, answers in entry.get("test_answers", {}).items()
                     },
                     turnaround_minutes={
-                        test: float(minutes)
+                        test: _finite(minutes, "turnaround_minutes")
                         for test, minutes in entry.get("turnaround_minutes", {}).items()
                     },
                     imms={
@@ -151,7 +174,7 @@ def _as_scored(students: Iterable[Any]) -> list[tuple[str, float]]:
             scored.append((str(sid), float(score)))
     ids = [sid for sid, _ in scored]
     if len(set(ids)) != len(ids):
-        raise ValueError("student ids must be unique")
+        raise InvalidArgumentError("student ids must be unique")
     return scored
 
 
@@ -163,7 +186,7 @@ def _fixed_point(scores: Sequence[float]) -> tuple[list[int], int]:
     """
     decimals = [Decimal(repr(score)) for score in scores]
     if not all(d.is_finite() for d in decimals):
-        raise ValueError("scores must be finite")
+        raise InvalidArgumentError("scores must be finite")
     places = max(0, *(-d.as_tuple().exponent for d in decimals))
     return [int(d.scaleb(places)) for d in decimals], 10**places
 
@@ -220,11 +243,11 @@ def balanced_split(
     C(2k, k) partitions. The result does not depend on input order. Beyond
     k = 16 pass ``allow_heuristic=True`` for a seeded swap search.
     """
+    if group_size < 1:
+        raise InvalidArgumentError("group_size must be >= 1")
     scored = sorted(_as_scored(students))  # canonical order by id
     if len(scored) != 2 * group_size:
-        raise ValueError(f"need exactly {2 * group_size} students, got {len(scored)}")
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
+        raise InvalidArgumentError(f"need exactly {2 * group_size} students, got {len(scored)}")
     ids = [sid for sid, _ in scored]
     ints, scale = _fixed_point([score for _, score in scored])
     k = group_size
@@ -624,20 +647,20 @@ def _paired_wilcoxon(before: Sequence[float], after: Sequence[float]) -> dict[st
 def experiment_report(
     records: Sequence[StudentRecord],
     keys: Mapping[str, Sequence[ReadingItem]],
-    alpha: float = 0.01,
+    alpha: float = DEFAULT_ALPHA,
 ) -> dict[str, Any]:
     """Run the full quantitative analysis over supplied student records.
 
     Per group: score means per test, within-group Wilcoxon on the score and
     turnaround deltas, per-level point deltas, IMMS summaries. Between groups:
     Mann-Whitney on per-student IMMS means and on their retention deltas.
-    Significance is flagged at ``alpha`` (default 0.01).
+    Significance is flagged at ``alpha``.
     """
     if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+        raise InvalidArgumentError("alpha must be in (0, 1)")
     test_ids = sorted(keys)
     if len(test_ids) != 2:
-        raise ValueError(f"expected exactly 2 answer keys, got {len(test_ids)}")
+        raise InvalidArgumentError(f"expected exactly 2 answer keys, got {len(test_ids)}")
     first, second = test_ids
     groups: dict[str, list[StudentRecord]] = {"A": [], "B": []}
     for record in records:

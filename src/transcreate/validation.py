@@ -21,6 +21,7 @@ from .errors import GatewayError, ValidationError
 from .fileio import atomic_write_text, read_json
 from .gateway import Gateway, PromptTemplate
 from .pipeline import (
+    DEFAULT_RETRY_BUDGET,
     Exchange,
     TranscreationRecord,
     ask_validated,
@@ -130,14 +131,13 @@ class JudgeFailure:
 class BloomJudge:
     """Judges transcreated questions without seeing their source labels."""
 
-    def __init__(self, gateway: Gateway, template: PromptTemplate, *, retry_budget: int = 3,
-                 temperature: float = 0.0, seed: int | None = 0):
+    def __init__(self, gateway: Gateway, template: PromptTemplate, *,
+                 retry_budget: int = DEFAULT_RETRY_BUDGET, seed: int | None = 0):
         if retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
         self.gateway = gateway
         self.template = template
         self.retry_budget = retry_budget
-        self.temperature = temperature
         self.seed = seed
 
     def judge_record(
@@ -165,8 +165,8 @@ class BloomJudge:
                     {"passage": record.transcreated_passage, "stem": question.stem,
                      "options": format_options(question)},
                     parse_bloom_reply, exchanges,
-                    step="judge_bloom", retry_budget=self.retry_budget,
-                    temperature=self.temperature, seed=self.seed, retry_line=JUDGE_RETRY_LINE,
+                    step="judge_bloom", retry_budget=self.retry_budget, seed=self.seed,
+                    retry_line=JUDGE_RETRY_LINE,
                 )
             except (GatewayError, ValidationError) as exc:
                 failures.append(JudgeFailure(

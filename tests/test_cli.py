@@ -84,6 +84,24 @@ class TestTranscreateCommand:
         (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
         assert run(transcreate_argv(workdir)) == 4
 
+    @pytest.mark.parametrize("entry", [
+        {"error": "http", "status": "x"}, {"error": "http", "status": True},
+        {"error": "http", "status": 503.0}, {"error": "nope"}, {"status": 503},
+        {"error": "timeout", "status": 503},
+    ])
+    def test_bad_mock_entry_refused_before_any_call(self, workdir, fixture_items, capsys,
+                                                     entry):
+        script = build_mock_script(fixture_items)
+        script["extract_topic"].insert(0, entry)
+        (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        log = workdir / "requests.jsonl"
+        capsys.readouterr()
+        assert run(transcreate_argv(workdir) + ["--log", log]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("validation error: bad mock script entry for step ")
+        assert not (workdir / "out.jsonl").exists()
+        assert not log.exists()  # no call was made
+
     def test_missing_items_file(self, workdir):
         argv = transcreate_argv(workdir)
         argv[2] = workdir / "missing.jsonl"
@@ -258,6 +276,17 @@ def student_records_payload():
     ]
 
 
+def assert_refused(capsys, argv, out, message):
+    """The run exits 3 with one stderr line naming ``message`` and writes no ``out``."""
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("validation error: ") and message in line
+    assert not out.exists()
+
+
 class TestSplitCommand:
     def test_split(self, tmp_path, capsys):
         records_path = tmp_path / "students.json"
@@ -266,6 +295,33 @@ class TestSplitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["group_a"]) == 10
         assert payload["mean_gap"] >= 0
+
+    @pytest.mark.parametrize("group_size, message", [
+        (0, "group_size must be >= 1"),
+        (-2, "group_size must be >= 1"),
+        (3, "need exactly 6 students, got 4"),
+    ])
+    def test_bad_group_size(self, tmp_path, capsys, group_size, message):
+        records_path = tmp_path / "students.json"
+        records_path.write_text(json.dumps(student_records_payload()[:4]), encoding="utf-8")
+        argv = ["split", "--records", records_path, "--group-size", group_size]
+        assert_refused(capsys, argv, tmp_path / "split.json", message)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("student_id", "s00", "duplicate student_id 's00'"),
+        ("student_id", 5, "student_id must be a string, got 5"),
+        ("student_id", True, "student_id must be a string, got True"),
+        ("student_id", [], "student_id must be a string, got []"),
+        ("toefl", float("nan"), "toefl must be finite, got nan"),
+        ("toefl", float("inf"), "toefl must be finite, got inf"),
+    ])
+    def test_bad_student_value(self, tmp_path, capsys, field, value, message):
+        students = student_records_payload()[:4]
+        students[1][field] = value
+        records_path = tmp_path / "students.json"
+        records_path.write_text(json.dumps(students), encoding="utf-8")
+        argv = ["split", "--records", records_path, "--group-size", 2]
+        assert_refused(capsys, argv, tmp_path / "split.json", message)
 
 
 class TestScoreAndStatsCommands:
@@ -355,6 +411,35 @@ class TestScoreAndStatsCommands:
         students_path, key_path = self.fixture_files(tmp_path)
         code = run(["stats", "--records", students_path, "--key", str(key_path)])
         assert code == 3
+
+    def test_stats_needs_two_keys(self, tmp_path, capsys):
+        students_path, key_path = self.fixture_files(tmp_path)
+        argv = ["stats", "--records", students_path, "--key", f"test1={key_path}"]
+        assert_refused(capsys, argv, tmp_path / "stats.json",
+                       "expected exactly 2 answer keys, got 1")
+
+    @pytest.mark.parametrize("command", ["score", "stats"])
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda s: s[1].update(student_id=s[0]["student_id"]), "duplicate student_id 's00'"),
+        (lambda s: s[1].update(student_id=[]), "student_id must be a string, got []"),
+        (lambda s: s[1].update(student_id=7), "student_id must be a string, got 7"),
+        (lambda s: s[1]["turnaround_minutes"].update(test2=float("nan")),
+         "turnaround_minutes must be finite, got nan"),
+        (lambda s: s[1]["turnaround_minutes"].update(test1=float("inf")),
+         "turnaround_minutes must be finite, got inf"),
+    ], ids=["duplicate", "list-id", "int-id", "nan-time", "inf-time"])
+    def test_bad_student_value(self, tmp_path, capsys, command, mutate, message):
+        # Before these checks stats counted a repeated student twice and exited 0.
+        students_path, key_path = self.fixture_files(tmp_path)
+        students = json.loads(students_path.read_text(encoding="utf-8"))
+        mutate(students)
+        students_path.write_text(json.dumps(students), encoding="utf-8")
+        if command == "score":
+            argv = ["score", "--records", students_path, "--key", key_path, "--test", "test1"]
+        else:
+            argv = ["stats", "--records", students_path,
+                    "--key", f"test1={key_path}", "--key", f"test2={key_path}"]
+        assert_refused(capsys, argv, tmp_path / "result.json", message)
 
 
 class TestConfigPrecedence:
@@ -577,6 +662,10 @@ class TestInputFiles:
          "a mock script maps each step to a list"),
         ("transcreate", "--mock", '{"extract_topic": [5]}',
          "a mock script maps each step to a list"),
+        ("transcreate", "--mock", '{"extract_topic": [{"error": "http", "status": "x"}]}',
+         "bad mock script entry for step 'extract_topic'"),
+        ("transcreate", "--mock", '{"tag_features": ["ok", {"error": "nope"}]}',
+         "bad mock script entry for step 'tag_features'"),
         ("qa-report", "--queue", '{"entries": []}', "missing field 'log'"),
         ("qa-report", "--queue", '{"log": []}', "missing field 'entries'"),
         ("qa-report", "--queue", "[]", "bad queue"),

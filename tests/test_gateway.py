@@ -87,17 +87,17 @@ class TestTemplateFiles:
 class TestMockBackend:
     def test_scripted_reply(self):
         gateway = Gateway(MockBackend({"step": ["2.b"]}), backoff_base_s=0)
-        assert gateway.complete(request(), step="step") == "2.b"
+        assert gateway.complete_ex(request(), step="step").text == "2.b"
 
     def test_fifo_order(self):
         gateway = Gateway(MockBackend({"step": ["one", "two"]}), backoff_base_s=0)
-        assert gateway.complete(request(), step="step") == "one"
-        assert gateway.complete(request(), step="step") == "two"
+        assert gateway.complete_ex(request(), step="step").text == "one"
+        assert gateway.complete_ex(request(), step="step").text == "two"
 
     def test_exhausted_script(self):
         gateway = Gateway(MockBackend({"step": []}), backoff_base_s=0)
         with pytest.raises(MockScriptError):
-            gateway.complete(request(), step="step")
+            gateway.complete_ex(request(), step="step")
 
     def test_fail_twice_then_ok(self):
         script = {"step": [{"error": "timeout"}, {"error": "timeout"}, "ok"]}
@@ -110,7 +110,7 @@ class TestMockBackend:
         script = {"step": [{"error": "timeout"}] * 4}
         gateway = Gateway(MockBackend(script), max_retries=3, backoff_base_s=0)
         with pytest.raises(RetriesExhaustedError) as err:
-            gateway.complete(request(), step="step")
+            gateway.complete_ex(request(), step="step")
         assert err.value.attempts == 4
         assert isinstance(err.value.last, GatewayTimeoutError)
 
@@ -122,7 +122,7 @@ class TestMockBackend:
         gc.collect()
         gc.disable()
         try:
-            assert gateway.complete(request(), step="step") == "ok"
+            assert gateway.complete_ex(request(), step="step").text == "ok"
             del gateway
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
@@ -139,20 +139,32 @@ class TestMockBackend:
         script = {"step": [{"error": "http", "status": 400}, "never"]}
         gateway = Gateway(MockBackend(script), max_retries=3, backoff_base_s=0)
         with pytest.raises(HttpStatusError):
-            gateway.complete(request(), step="step")
+            gateway.complete_ex(request(), step="step")
 
     def test_wildcard_queue(self):
         gateway = Gateway(MockBackend({"*": ["any"]}), backoff_base_s=0)
-        assert gateway.complete(request(), step="unknown-step") == "any"
+        assert gateway.complete_ex(request(), step="unknown-step").text == "any"
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(json.dumps({"step": ["reply"]}), encoding="utf-8")
         gateway = Gateway(MockBackend.from_file(path), backoff_base_s=0)
-        assert gateway.complete(request(), step="step") == "reply"
+        assert gateway.complete_ex(request(), step="step").text == "reply"
+
+    def test_http_status_defaults_to_500(self):
+        gateway = Gateway(MockBackend({"step": [{"error": "http"}] * 4}), backoff_base_s=0)
+        with pytest.raises(RetriesExhaustedError) as err:
+            gateway.complete_ex(request(), step="step")
+        assert err.value.last.status == 500
 
     @pytest.mark.parametrize("script", [
         5, ["reply"], {"extract_topic": "2.b"}, {"step": [5]}, {"step": [["reply"]]},
+        {"step": ["ok", {"error": "http", "status": "x"}]},
+        {"step": [{"error": "http", "status": True}]},
+        {"step": [{"error": "http", "status": None}]},
+        {"step": [{"error": "nope"}]},
+        {"step": [{}]},
+        {"step": [{"error": "timeout", "retry": 1}]},
     ])
     def test_malformed_script_refused(self, script):
         # A string queue would otherwise be split into one reply per character.
@@ -167,8 +179,8 @@ class TestRequestLog:
         gateway = Gateway(
             MockBackend(script), max_retries=2, backoff_base_s=0, log_path=log_path
         )
-        gateway.complete(request("first"), step="step")
-        gateway.complete(request("second"), step="step")
+        gateway.complete_ex(request("first"), step="step")
+        gateway.complete_ex(request("second"), step="step")
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert len(lines) == 2
         assert lines[0]["attempts"] == 2
@@ -200,7 +212,7 @@ class TestConcurrencyCap:
         backend = SlowBackend()
         gateway = Gateway(backend, max_in_flight=3, backoff_base_s=0)
         threads = [
-            threading.Thread(target=gateway.complete, args=(request(),))
+            threading.Thread(target=gateway.complete_ex, args=(request(),))
             for _ in range(12)
         ]
         for thread in threads:
@@ -222,11 +234,11 @@ class TestConcurrencyCap:
                 return req.user
 
         gateway = Gateway(FirstTimeout(), max_in_flight=1, backoff_base_s=0.3)
-        call_a = threading.Thread(target=gateway.complete, args=(request("a"),))
+        call_a = threading.Thread(target=gateway.complete_ex, args=(request("a"),))
         call_a.start()
         assert a_failed.wait(5)
         start = time.monotonic()
-        assert gateway.complete(request("b")) == "b"
+        assert gateway.complete_ex(request("b")).text == "b"
         elapsed = time.monotonic() - start
         call_a.join()
         assert elapsed < 0.1
@@ -263,13 +275,32 @@ class TestHttpBackend:
         monkeypatch.setenv("TEST_KEY", "secret")
         payload = {"choices": [{"message": {"content": "fine"}}]}
 
+        bodies = []
+
         def fake_post(session, url, json=None, headers=None, timeout=None):
+            assert url == "http://127.0.0.1:9/v1/chat"
             assert headers["Authorization"] == "Bearer secret"
-            assert json["messages"][1]["content"] == "hello"
+            bodies.append(json)
             return FakeResponse(200, payload)
 
         monkeypatch.setattr("transcreate.gateway.requests.Session.post", fake_post)
-        assert HttpBackend(self.config()).send(request(), None) == "fine"
+        backend = HttpBackend(self.config())
+        assert backend.send(CompletionRequest(system="sys", user="hello", seed=7), None) == "fine"
+        assert backend.send(request(), None) == "fine"
+        # The whole body, in key order: the sampling settings are fixed here.
+        expected = {
+            "model": "gpt-4o",
+            "messages": [
+                {"role": "system", "content": "sys"},
+                {"role": "user", "content": "hello"},
+            ],
+            "temperature": 0.0,
+            "max_tokens": 2048,
+            "seed": 7,
+        }
+        assert list(bodies[0].items()) == list(expected.items())
+        del expected["seed"]
+        assert list(bodies[1].items()) == list(expected.items())
 
     def test_http_error_status(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "secret")

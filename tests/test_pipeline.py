@@ -677,17 +677,22 @@ class TestRecordsFile:
 
 class TestAssignTopics:
     def test_interest_mode_positional(self, taxonomy, fixture_items, fixture_profile):
-        assignments = assign_topics(
-            [fixture_profile], fixture_items, "interest", 0, taxonomy
-        )
-        topics = [t.topic for t in assignments[0].targets]
-        assert topics == list(fixture_profile.top_interests)
+        work = assign_topics([fixture_profile], fixture_items, "interest", 0, taxonomy)
+        assert [w.item for w in work] == fixture_items
+        assert [w.target_topic for w in work] == list(fixture_profile.top_interests)
+        assert {(w.student_id, w.mode) for w in work} == {(fixture_profile.student_id, "interest")}
+
+    def test_work_list_is_student_major(self, taxonomy, fixture_items, fixture_profile):
+        other = replace(fixture_profile, student_id="s2")
+        work = assign_topics([fixture_profile, other], fixture_items, "interest", 0, taxonomy)
+        assert [(w.student_id, w.item.id) for w in work] == [
+            (sid, item.id) for sid in ("s1", "s2") for item in fixture_items
+        ]
 
     def test_interest_mode_cycles_past_four(self, taxonomy, fixture_items, fixture_profile):
         items = fixture_items + [make_item("r5", "Extra passage. More text.")]
-        assignments = assign_topics([fixture_profile], items, "interest", 0, taxonomy)
-        topics = [t.topic for t in assignments[0].targets]
-        assert topics[4] == fixture_profile.top_interests[0]
+        work = assign_topics([fixture_profile], items, "interest", 0, taxonomy)
+        assert work[4].target_topic == fixture_profile.top_interests[0]
 
     def test_random_mode_deterministic(self, taxonomy, fixture_items, fixture_profile):
         first = assign_topics([fixture_profile], fixture_items, "random", 42, taxonomy)
@@ -699,19 +704,17 @@ class TestAssignTopics:
         item = make_item("r1", "Chores. More chores.", source_topic="2.b")
         items = [item] * 100
         for seed in range(100):
-            assignments = assign_topics([fixture_profile], items, "random", seed, taxonomy)
-            assert all(t.topic != "2.b" for t in assignments[0].targets)
+            work = assign_topics([fixture_profile], items, "random", seed, taxonomy)
+            assert all(w.target_topic != "2.b" for w in work)
 
     def test_random_mode_uniform(self, taxonomy, fixture_profile):
         from scipy import stats as scipy_stats
 
         item = make_item("r1", "Chores. More chores.", source_topic="2.b")
-        draws = assign_topics(
-            [fixture_profile], [item] * 100_000, "random", 7, taxonomy
-        )[0].targets
+        draws = assign_topics([fixture_profile], [item] * 100_000, "random", 7, taxonomy)
         counts: dict[str, int] = {}
-        for target in draws:
-            counts[target.topic] = counts.get(target.topic, 0) + 1
+        for work in draws:
+            counts[work.target_topic] = counts.get(work.target_topic, 0) + 1
         eligible = [code for code in taxonomy.codes() if code != "2.b"]
         assert set(counts) <= set(eligible)
         observed = [counts.get(code, 0) for code in eligible]

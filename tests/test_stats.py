@@ -22,6 +22,7 @@ from transcreate.stats import (
     WILCOXON_EXACT_LIMIT,
     AllZeroDifferencesError,
     ImmsResponse,
+    InvalidArgumentError,
     LengthMismatchError,
     NoResponsesError,
     StudentRecord,
@@ -323,6 +324,26 @@ class TestLoadStudentRecords:
         with pytest.raises(MalformedRecordError, match=reason):
             load_student_records(path)
 
+    @pytest.mark.parametrize("students, reason", [
+        ([{"student_id": 5, "toefl": 90}], "student_id must be a string, got 5"),
+        ([{"student_id": True, "toefl": 90}], "student_id must be a string, got True"),
+        ([{"student_id": [], "toefl": 90}], r"student_id must be a string, got \[\]"),
+        ([{"student_id": "s1", "toefl": 90}, {"student_id": "s1", "toefl": 80}],
+         "duplicate student_id 's1'"),
+        ([{"student_id": "s1", "toefl": float("nan")}], "toefl must be finite"),
+        ([{"student_id": "s1", "toefl": float("inf")}], "toefl must be finite"),
+        ([{"student_id": "s1", "toefl": 90, "turnaround_minutes": {"test1": float("-inf")}}],
+         "turnaround_minutes must be finite"),
+        ([{"student_id": "s1", "toefl": 90, "turnaround_minutes": {"test1": float("nan")}}],
+         "turnaround_minutes must be finite"),
+    ])
+    def test_bad_values(self, tmp_path, students, reason):
+        # json writes NaN and Infinity as the bare tokens it also reads back.
+        path = tmp_path / "students.json"
+        path.write_text(json.dumps(students), encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=f"bad student record: {reason}"):
+            load_student_records(path)
+
 
 def scaled_ints(scores, scale=100):
     """Scores with at most log10(scale) decimals as exact integers."""
@@ -482,6 +503,18 @@ class TestBalancedSplit:
     def test_wrong_size(self):
         with pytest.raises(ValueError):
             balanced_split([("a", 1.0)], 1)
+
+    @pytest.mark.parametrize("students, group_size, reason", [
+        ([("a", 1.0)], 0, "group_size must be >= 1"),
+        ([("a", 1.0), ("b", 2.0)], -1, "group_size must be >= 1"),
+        ([("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)], 3, "need exactly 6 students, got 4"),
+        ([("a", 1.0), ("a", 2.0)], 1, "student ids must be unique"),
+        ([("a", 1.0), ("b", float("nan"))], 1, "scores must be finite"),
+    ])
+    def test_argument_errors_are_validation_errors(self, students, group_size, reason):
+        with pytest.raises(InvalidArgumentError, match=reason) as info:
+            balanced_split(students, group_size)
+        assert isinstance(info.value, ValueError)
 
 
 def answer_key(blooms_cycle=None):
@@ -658,6 +691,17 @@ def experiment_fixture():
 
 
 class TestExperimentReport:
+    @pytest.mark.parametrize("tests, alpha, reason", [
+        (["test1"], 0.01, "expected exactly 2 answer keys, got 1"),
+        (["test1", "test2", "test3"], 0.01, "expected exactly 2 answer keys, got 3"),
+        (["test1", "test2"], 1.0, r"alpha must be in \(0, 1\)"),
+    ])
+    def test_argument_errors_are_validation_errors(self, tests, alpha, reason):
+        records, keys = experiment_fixture()
+        keys = {test_id: keys["test1"] for test_id in tests}
+        with pytest.raises(InvalidArgumentError, match=reason):
+            experiment_report(records, keys, alpha=alpha)
+
     def test_group_b_significant_a_not(self):
         records, keys = experiment_fixture()
         report = experiment_report(records, keys, alpha=0.01)

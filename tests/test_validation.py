@@ -61,7 +61,7 @@ def complete_record(record_id="r1", n_questions=5, blooms=None, student=None):
         question_blooms=tuple(blooms),
         transcreated_passage="A new passage about tennis. It mirrors the source.",
         transcreated_questions=questions,
-        status=RecordStatus.complete(),
+        status=RecordStatus(),
     )
 
 
