@@ -7,6 +7,7 @@ failures, 4 gateway failures. Logs go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -331,6 +332,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(flag, dest=name, **options)
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transcreate",

@@ -17,12 +17,13 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Mapping, Protocol, TextIO
 
 from .errors import GatewayError, ValidationError
 from .fileio import read_json, read_text
+
+if TYPE_CHECKING:
+    import requests
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -242,9 +243,13 @@ class HttpBackend:
 
     Each worker thread sends through its own ``requests.Session``, so its
     calls reuse one kept-alive connection; :meth:`close` closes them all.
+    ``requests`` is imported here, not with the module, so only a process
+    that builds this backend pays for loading it.
     """
 
     def __init__(self, config: ProviderConfig):
+        import requests  # noqa: F401  (loaded with the backend, not at the first send)
+
         self.config = config
         self._local = threading.local()
         self._sessions: list[requests.Session] = []
@@ -253,6 +258,8 @@ class HttpBackend:
     def _session(self) -> requests.Session:
         session = getattr(self._local, "session", None)
         if session is None:
+            import requests
+
             session = self._local.session = requests.Session()
             with self._sessions_lock:
                 self._sessions.append(session)
@@ -266,6 +273,8 @@ class HttpBackend:
         self._local = threading.local()
 
     def send(self, request: CompletionRequest, step: str | None) -> str:
+        import requests
+
         api_key = os.environ.get(self.config.api_key_env)
         if not api_key:
             raise MissingApiKeyError(self.config.api_key_env)
@@ -312,7 +321,8 @@ class Gateway:
 
     Callers may invoke :meth:`complete_ex` from any number of threads; at most
     ``max_in_flight`` requests are outstanding at once. A call waiting out a
-    retry backoff holds no slot.
+    retry backoff holds no slot. The request log is opened at the first
+    logged call and held until :meth:`close`.
     """
 
     def __init__(
@@ -333,6 +343,7 @@ class Gateway:
         self._rng = random.Random(rng_seed)
         self._rng_lock = threading.Lock()
         self._log_lock = threading.Lock()
+        self._log_file: TextIO | None = None
 
     def _backoff(self, attempt: int) -> float:
         with self._rng_lock:
@@ -356,9 +367,12 @@ class Gateway:
             record["error"] = error
         line = json.dumps(record, ensure_ascii=False)
         with self._log_lock:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.log_path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            if self._log_file is None:
+                self.log_path.parent.mkdir(parents=True, exist_ok=True)
+                self._log_file = self.log_path.open("a", encoding="utf-8")
+            # Flushed per line, so a crash loses no logged call.
+            self._log_file.write(line + "\n")
+            self._log_file.flush()
 
     def complete_ex(self, request: CompletionRequest, step: str | None = None) -> CompletionResult:
         """Run one completion; transient failures retry with exponential backoff."""
@@ -388,7 +402,11 @@ class Gateway:
         raise RetriesExhaustedError(self.max_retries + 1, GatewayError("no attempt"))
 
     def close(self) -> None:
-        """Release the backend's connections, if it holds any."""
+        """Close the request log, if open, and release the backend's connections."""
+        with self._log_lock:
+            log_file, self._log_file = self._log_file, None
+        if log_file is not None:
+            log_file.close()
         close = getattr(self.backend, "close", None)
         if close is not None:
             close()

@@ -509,21 +509,36 @@ def _json_list(items: Sequence[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
-class QueueLock:
-    """Single-writer lock for a queue file (O_EXCL lock file next to it).
+# The lock files this process holds, so that a lock naming this process's
+# pid is told apart from one left by an earlier process that had the same
+# pid on this host (a restarted container).
+_held_locks: set[str] = set()
 
-    The lock file names its owner as ``{"pid": ..., "host": ...}``. A lock
-    whose owner is a process of this host that has exited (a crashed
-    session) is taken over. Any other existing lock is refused, as is one
-    that names no owner, since its owner cannot be checked.
+
+class QueueLock:
+    """Single-writer lock for a queue file (a lock file next to it).
+
+    The lock file names its owner as ``{"pid": ..., "host": ...}``; it is
+    written in full to a temporary file and hard-linked into place, so no
+    lock is ever seen without its owner. A lock whose owner is a process of
+    this host that has exited (a crashed session) is taken over, as is one
+    naming this process's pid when this process holds no lock on the path.
+    Any other existing lock is refused, as is one that names no owner,
+    since its owner cannot be checked.
     """
 
     def __init__(self, queue_path: str | Path):
         self.lock_path = Path(str(queue_path) + ".lock")
+        self._key = os.path.abspath(self.lock_path)
 
     def __enter__(self) -> "QueueLock":
-        if self._create():
-            return self
+        if not self._create():
+            self._take_over()
+        _held_locks.add(self._key)
+        return self
+
+    def _take_over(self) -> None:
+        """Replace an existing lock if its owner has exited; refuse it otherwise."""
         owner = self._owner()
         if owner is None:
             raise ConcurrentReviewError(
@@ -531,7 +546,8 @@ class QueueLock:
                 "session is running"
             )
         pid, host = owner
-        if host != socket.gethostname() or _pid_running(pid):
+        live = self._key in _held_locks if pid == os.getpid() else _pid_running(pid)
+        if host != socket.gethostname() or live:
             raise ConcurrentReviewError(
                 f"another review session holds {self.lock_path} (pid {pid} on {host})"
             )
@@ -543,24 +559,29 @@ class QueueLock:
             pass
         if not self._create():
             raise ConcurrentReviewError(f"another review session holds {self.lock_path}")
-        return self
 
     def __exit__(self, *exc_info: Any) -> None:
+        _held_locks.discard(self._key)
         try:
             os.unlink(self.lock_path)
         except OSError:
             pass
 
     def _create(self) -> bool:
+        """Publish a lock naming this process; False if a lock file already exists."""
+        owner = json.dumps({"pid": os.getpid(), "host": socket.gethostname()})
+        temp = f"{self.lock_path}.{os.urandom(6).hex()}.tmp"
+        fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                os.write(fd, owner.encode("utf-8"))
+            finally:
+                os.close(fd)
+            os.link(temp, self.lock_path)
         except FileExistsError:
             return False
-        try:
-            owner = {"pid": os.getpid(), "host": socket.gethostname()}
-            os.write(fd, json.dumps(owner).encode("utf-8"))
         finally:
-            os.close(fd)
+            os.unlink(temp)
         return True
 
     def _owner(self) -> tuple[int, str] | None:

@@ -489,7 +489,7 @@ class TestConfigChecks:
     def test_non_positive_provider_timeout(self, workdir, capsys, monkeypatch, timeout_s):
         sent = []
         monkeypatch.setenv("TEST_KEY", "k")
-        monkeypatch.setattr("transcreate.gateway.requests.Session.post",
+        monkeypatch.setattr("requests.Session.post",
                             lambda *args, **kwargs: sent.append(kwargs))
         provider = {"endpoint": "http://127.0.0.1:9/v1/chat", "api_key_env": "TEST_KEY",
                     "timeout_s": timeout_s}

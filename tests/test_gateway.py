@@ -8,6 +8,7 @@ import threading
 import time
 import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -179,14 +180,47 @@ class TestRequestLog:
         gateway = Gateway(
             MockBackend(script), max_retries=2, backoff_base_s=0, log_path=log_path
         )
-        gateway.complete_ex(request("first"), step="step")
-        gateway.complete_ex(request("second"), step="step")
+        try:
+            gateway.complete_ex(request("first"), step="step")
+            gateway.complete_ex(request("second"), step="step")
+        finally:
+            gateway.close()
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert len(lines) == 2
         assert lines[0]["attempts"] == 2
         assert lines[0]["response"] == "fine"
         assert lines[1]["user"] == "second"
         assert all("latency_s" in line for line in lines)
+
+    def test_log_is_opened_once_and_flushed_per_line(self, tmp_path, monkeypatch):
+        log_path = tmp_path / "logs" / "requests.jsonl"
+        write_opens = []
+        real_open = Path.open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if path == log_path and mode not in ("r", "rb"):
+                write_opens.append(mode)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        clock = types.SimpleNamespace(time=lambda: 1.5, monotonic=lambda: 2.0, sleep=time.sleep)
+        monkeypatch.setattr("transcreate.gateway.time", clock)
+        script = {"step": [{"error": "http", "status": 400}, "fine «é»"]}
+        first = ('{"ts": 1.5, "step": "step", "system": "sys", "user": "first", '
+                 '"response": null, "attempts": 1, "latency_s": 0.0, '
+                 '"error": "HTTP 400: scripted failure"}\n')
+        second = ('{"ts": 1.5, "step": "step", "system": "sys", "user": "second", '
+                  '"response": "fine «é»", "attempts": 1, "latency_s": 0.0}\n')
+        gateway = Gateway(MockBackend(script), backoff_base_s=0, log_path=log_path)
+        try:
+            with pytest.raises(HttpStatusError):
+                gateway.complete_ex(request("first"), step="step")
+            assert log_path.read_bytes() == first.encode("utf-8")  # flushed, still open
+            gateway.complete_ex(request("second"), step="step")
+        finally:
+            gateway.close()
+        assert log_path.read_bytes() == (first + second).encode("utf-8")
+        assert write_opens == ["a"]
 
 
 class SlowBackend:
@@ -283,7 +317,7 @@ class TestHttpBackend:
             bodies.append(json)
             return FakeResponse(200, payload)
 
-        monkeypatch.setattr("transcreate.gateway.requests.Session.post", fake_post)
+        monkeypatch.setattr("requests.Session.post", fake_post)
         backend = HttpBackend(self.config())
         assert backend.send(CompletionRequest(system="sys", user="hello", seed=7), None) == "fine"
         assert backend.send(request(), None) == "fine"
@@ -305,7 +339,7 @@ class TestHttpBackend:
     def test_http_error_status(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "secret")
         monkeypatch.setattr(
-            "transcreate.gateway.requests.Session.post",
+            "requests.Session.post",
             lambda *a, **k: FakeResponse(400, text="bad request"),
         )
         with pytest.raises(HttpStatusError) as err:
@@ -322,7 +356,7 @@ class TestHttpBackend:
                 return FakeResponse(503, text="busy")
             return FakeResponse(200, {"choices": [{"message": {"content": "done"}}]})
 
-        monkeypatch.setattr("transcreate.gateway.requests.Session.post", flaky_post)
+        monkeypatch.setattr("requests.Session.post", flaky_post)
         gateway = Gateway(HttpBackend(self.config()), max_retries=3, backoff_base_s=0)
         result = gateway.complete_ex(request())
         assert result.text == "done"
@@ -336,7 +370,7 @@ class TestHttpBackend:
         def timeout_post(*args, **kwargs):
             raise requests_lib.Timeout("too slow")
 
-        monkeypatch.setattr("transcreate.gateway.requests.Session.post", timeout_post)
+        monkeypatch.setattr("requests.Session.post", timeout_post)
         with pytest.raises(GatewayTimeoutError):
             HttpBackend(self.config()).send(request(), None)
 

@@ -409,10 +409,34 @@ class TestReviewQueue:
 
     def test_lock_of_live_process_is_refused(self, tmp_path):
         path = tmp_path / "q.json"
-        lock = self.write_lock(path, {"pid": os.getpid(), "host": socket.gethostname()})
-        with pytest.raises(ConcurrentReviewError, match=f"pid {os.getpid()} on "):
+        live = os.getppid()  # a running process other than this one
+        lock = self.write_lock(path, {"pid": live, "host": socket.gethostname()})
+        with pytest.raises(ConcurrentReviewError, match=f"pid {live} on "):
             QueueLock(path).__enter__()
         assert lock.exists()
+
+    def test_lock_naming_this_pid_is_stale_unless_held_here(self, tmp_path, monkeypatch):
+        # A crashed session whose restart got the same pid on the same host.
+        path = tmp_path / "q.json"
+        lock = self.write_lock(path, {"pid": os.getpid(), "host": socket.gethostname()})
+        with QueueLock(path):
+            assert json.loads(lock.read_text())["pid"] == os.getpid()
+            monkeypatch.chdir(tmp_path)
+            with pytest.raises(ConcurrentReviewError, match=f"pid {os.getpid()} on "):
+                QueueLock("q.json").__enter__()  # the same lock, held here
+        assert not lock.exists()
+
+    def test_crash_before_the_owner_is_written_leaves_no_lock(self, tmp_path, monkeypatch):
+        def crash(fd, data):
+            raise OSError("crashed mid-write")
+
+        monkeypatch.setattr(os, "write", crash)
+        with pytest.raises(OSError, match="crashed mid-write"):
+            QueueLock(tmp_path / "q.json").__enter__()
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        with QueueLock(tmp_path / "q.json"):
+            pass
 
     def test_lock_of_other_host_is_refused(self, tmp_path):
         path = tmp_path / "q.json"
