@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
@@ -25,17 +26,19 @@ class MalformedLineError(ValidationError):
         self.reason = reason
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same directory.
+@contextmanager
+def _atomic_file(path: str | Path) -> Iterator[IO[str]]:
+    """A text handle on a temp file in ``path``'s directory, renamed to ``path`` on success.
 
-    Readers never observe a partially written file.
+    Readers never observe a partially written file. If the block raises,
+    ``path`` is left untouched and the temp file removed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -45,10 +48,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (see :func:`_atomic_file`)."""
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
-    """Atomically write one JSON object per line."""
-    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """Atomically write one JSON object per line, each as soon as it is encoded."""
+    with _atomic_file(path) as handle:
+        for row in rows:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def _open(path: str | Path, what: str) -> IO[bytes]:

@@ -17,13 +17,15 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, TextIO
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Protocol, TextIO
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from .errors import GatewayError, ValidationError
 from .fileio import read_json, read_text
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
+    import ssl
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -166,12 +168,26 @@ class ProviderConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        _check_endpoint(self.endpoint)
         if not self.timeout_s > 0:
             raise ValueError("timeout_s must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+
+
+def _check_endpoint(endpoint: Any) -> None:
+    """Refuse an endpoint that is not an http(s) URL with a host and a valid port."""
+    if not isinstance(endpoint, str):
+        raise ValueError("endpoint must be a string")
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises on a port that is not a number in 0-65535
+    except ValueError as exc:
+        raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
 
 
 @dataclass(frozen=True)
@@ -241,40 +257,79 @@ def _is_scripted_failure(entry: Mapping[str, Any]) -> bool:
 class HttpBackend:
     """Live chat-completions transport (OpenAI-compatible JSON bodies).
 
-    Each worker thread sends through its own ``requests.Session``, so its
-    calls reuse one kept-alive connection; :meth:`close` closes them all.
-    ``requests`` is imported here, not with the module, so only a process
-    that builds this backend pays for loading it.
+    Sends with the standard library's ``http.client``, imported here rather
+    than with the module, so only a process that builds this backend loads
+    it. Each worker thread keeps one persistent connection; :meth:`close`
+    closes them all and leaves the backend usable. A connection honours
+    ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` as read when it is opened,
+    and TLS verifies against the default CA store. Redirects are not followed.
     """
 
     def __init__(self, config: ProviderConfig):
-        import requests  # noqa: F401  (loaded with the backend, not at the first send)
+        import http.client  # noqa: F401  (loaded with the backend, not at the first send)
 
         self.config = config
+        self._url = urlsplit(config.endpoint)
         self._local = threading.local()
-        self._sessions: list[requests.Session] = []
-        self._sessions_lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
+        self._tls: ssl.SSLContext | None = None
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            import requests
+    def _route(self) -> _Route:
+        route = getattr(self._local, "route", None)
+        if route is None:
+            route = self._local.route = self._open()
+            with self._connections_lock:
+                self._connections.append(route.connection)
+        return route
 
-            session = self._local.session = requests.Session()
-            with self._sessions_lock:
-                self._sessions.append(session)
-        return session
+    def _open(self) -> _Route:
+        """A new, unconnected route to the endpoint, through a proxy if one applies."""
+        import http.client
+        from urllib.request import getproxies, proxy_bypass
+
+        url = self._url
+        target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        host, port = url.hostname or "", url.port
+        proxy = None if proxy_bypass(host) else _proxy_for(url.scheme, getproxies())
+        proxy_auth: dict[str, str] = {}
+        if proxy is not None:
+            if proxy.username is not None:
+                import base64
+
+                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                proxy_auth = {"Proxy-Authorization": f"Basic {token}"}
+            host, port = proxy.hostname or "", proxy.port
+        timeout = self.config.timeout_s
+        if url.scheme == "http":
+            connection = http.client.HTTPConnection(host, port, timeout=timeout)
+            if proxy is not None:
+                # A plain-HTTP proxy takes the absolute URI as the request target.
+                return _Route(connection, f"http://{url.netloc}{target}", proxy_auth)
+            return _Route(connection, target, {})
+        connection = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                                 context=self._tls_context())
+        if proxy is not None:
+            connection.set_tunnel(url.hostname or "", url.port, headers=proxy_auth)
+        return _Route(connection, target, {})
+
+    def _tls_context(self) -> ssl.SSLContext:
+        with self._connections_lock:
+            if self._tls is None:
+                import ssl
+
+                self._tls = ssl.create_default_context()
+            return self._tls
 
     def close(self) -> None:
-        with self._sessions_lock:
-            sessions, self._sessions = self._sessions, []
-        for session in sessions:
-            session.close()
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+        for connection in connections:
+            connection.close()
         self._local = threading.local()
 
     def send(self, request: CompletionRequest, step: str | None) -> str:
-        import requests
-
         api_key = os.environ.get(self.config.api_key_env)
         if not api_key:
             raise MissingApiKeyError(self.config.api_key_env)
@@ -289,23 +344,70 @@ class HttpBackend:
         }
         if request.seed is not None:
             body["seed"] = request.seed
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        status, reply = self._post(data, {"Content-Type": "application/json",
+                                          "Authorization": f"Bearer {api_key}"})
+        if status != 200:
+            raise HttpStatusError(status, reply.decode("utf-8", "replace")[:200])
         try:
-            response = self._session().post(
-                self.config.endpoint,
-                json=body,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.config.timeout_s,
-            )
-        except requests.Timeout as exc:
-            raise GatewayTimeoutError(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise HttpStatusError(503, f"connection failure: {exc}") from exc
-        if response.status_code != 200:
-            raise HttpStatusError(response.status_code, response.text[:200])
-        try:
-            return response.json()["choices"][0]["message"]["content"]
+            return json.loads(reply)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
+
+    def _post(self, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST ``data`` on this thread's connection; the reply's status and body."""
+        import http.client
+
+        connection, target, proxy_headers = self._route()
+        headers.update(proxy_headers)
+        reused = connection.sock is not None
+        try:
+            try:
+                return _exchange(connection, target, data, headers)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # A kept-alive connection that fails before any reply was, as
+                # a rule, closed by the server while it sat idle: send again
+                # at once on a new connection, as urllib3 does.
+                connection.close()
+                return _exchange(connection, target, data, headers)
+        except TimeoutError as exc:
+            connection.close()
+            raise GatewayTimeoutError(f"no reply within {self.config.timeout_s} s") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise HttpStatusError(503, f"connection failure: {type(exc).__name__}: {exc}") from exc
+
+
+class _Route(NamedTuple):
+    """One thread's connection, the request target to send on it, and its proxy headers."""
+
+    connection: http.client.HTTPConnection
+    target: str
+    headers: dict[str, str]
+
+
+def _proxy_for(scheme: str, proxies: Mapping[str, str]) -> SplitResult | None:
+    """The proxy for ``scheme`` in ``proxies`` (``urllib.request.getproxies()``), if any.
+
+    As with ``requests``, a proxy given without a scheme is an HTTP proxy.
+    Only HTTP proxies are supported; any other raises a connection failure.
+    """
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy:
+        return None
+    parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if parts.scheme != "http" or not parts.hostname:
+        raise HttpStatusError(503, f"connection failure: unsupported proxy {proxy!r}")
+    return parts
+
+
+def _exchange(connection: http.client.HTTPConnection, target: str, data: bytes,
+              headers: dict[str, str]) -> tuple[int, bytes]:
+    connection.request("POST", target, data, headers)
+    response = connection.getresponse()
+    return response.status, response.read()
 
 
 def _is_transient(error: GatewayError) -> bool:

@@ -1,9 +1,12 @@
-"""Shared fixtures: sample items, profiles, and mock-script builders."""
+"""Shared fixtures: sample items, profiles, mock-script builders, a localhost HTTP stub."""
 
 from __future__ import annotations
 
 import json
 import re
+import threading
+from collections import deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -217,3 +220,83 @@ def v1_rendering(records) -> bytes:
     """Records as format 1 wrote them: every record in full, one per line."""
     return "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
                    for record in records).encode("utf-8")
+
+
+class EchoHandler(BaseHTTPRequestHandler):
+    """Keep-alive chat-completions stub that replies with the user prompt.
+
+    The server's settings shape the replies: ``replies`` holds scripted
+    ``(status, body bytes)`` pairs sent before any echo, ``hold`` (an event)
+    delays each reply until it is set, and ``close_idle`` closes the
+    connection after each reply without saying so. Every request is kept in
+    ``seen`` as ``(method, target, headers, body bytes)``. A ``CONNECT`` is
+    answered 200 and the connection closed, so a TLS handshake through it fails.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            server.seen.append(("POST", self.path, self.headers, raw))
+            scripted = server.replies.popleft() if server.replies else None
+        if server.hold is not None:
+            server.hold.wait(5)
+        if scripted is None:
+            content = json.loads(raw)["messages"][1]["content"]
+            status, reply = 200, json.dumps({"choices": [{"message": {"content": content}}]})
+            reply = reply.encode()
+        else:
+            status, reply = scripted
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+        except OSError:  # the client gave up waiting
+            self.close_connection = True
+        if server.close_idle:
+            self.close_connection = True
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.seen.append(("CONNECT", self.path, self.headers, b""))
+        self.send_response(200)
+        self.end_headers()
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def echo_server(monkeypatch):
+    """An :class:`EchoHandler` server on an ephemeral localhost port, with no proxy set."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), EchoHandler)
+    server.lock = threading.Lock()
+    server.connections = 0
+    server.seen = []
+    server.replies = deque()
+    server.hold = None
+    server.close_idle = False
+    host, port = server.server_address
+    server.url = f"http://{host}:{port}/v1/chat"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    if server.hold is not None:
+        server.hold.set()
+    server.shutdown()
+    server.server_close()
+    thread.join()

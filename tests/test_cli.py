@@ -486,20 +486,32 @@ class TestConfigChecks:
         assert "retry_budget must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("timeout_s", [0, -1.5])
-    def test_non_positive_provider_timeout(self, workdir, capsys, monkeypatch, timeout_s):
-        sent = []
+    def test_non_positive_provider_timeout(self, workdir, capsys, monkeypatch, echo_server,
+                                           timeout_s):
         monkeypatch.setenv("TEST_KEY", "k")
-        monkeypatch.setattr("requests.Session.post",
-                            lambda *args, **kwargs: sent.append(kwargs))
-        provider = {"endpoint": "http://127.0.0.1:9/v1/chat", "api_key_env": "TEST_KEY",
+        provider = {"endpoint": echo_server.url, "api_key_env": "TEST_KEY",
                     "timeout_s": timeout_s}
         config_path = workdir / "config.json"
         config_path.write_text(json.dumps({"provider": provider}), encoding="utf-8")
         argv = transcreate_argv(workdir)[:-2]  # without --mock: the HTTP backend
         assert run(argv + ["--config", config_path]) == 3
-        assert sent == [] and not (workdir / "out.jsonl").exists()
+        assert echo_server.seen == [] and not (workdir / "out.jsonl").exists()
         assert "bad provider config: timeout_s must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint", [
+        "api.example.com/v1/chat", "http://127.0.0.1:abc/v1", "ftp://127.0.0.1/v1",
+        "http:///v1/chat", 5,
+    ])
+    def test_malformed_provider_endpoint(self, workdir, capsys, monkeypatch, echo_server,
+                                         endpoint):
+        monkeypatch.setenv("TEST_KEY", "k")
+        provider = {"endpoint": endpoint, "api_key_env": "TEST_KEY", "max_retries": 0}
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"provider": provider}), encoding="utf-8")
+        argv = transcreate_argv(workdir)[:-2]  # without --mock: the HTTP backend
+        assert run(argv + ["--config", config_path]) == 3
+        assert not (workdir / "out.jsonl").exists()
+        assert "bad provider config: endpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, message", [
         ('{"alpha": "0.5"}', "alpha must be a number"),

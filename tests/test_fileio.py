@@ -1,13 +1,14 @@
-"""The shared input-file reader: missing, unreadable and malformed files."""
+"""The shared input-file reader (missing, unreadable and malformed files) and atomic writes."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
 from transcreate.errors import ValidationError
-from transcreate.fileio import MalformedLineError, read_json, read_jsonl, read_text
+from transcreate.fileio import MalformedLineError, read_json, read_jsonl, read_text, write_jsonl
 
 
 def test_read_text(tmp_path):
@@ -66,3 +67,42 @@ def test_read_jsonl_yields_before_reading_on(tmp_path):
         list(read_jsonl(path, "test file"))
     assert info.value.line_no == 2
     assert str(info.value).startswith(f"{path}:2: not valid JSON: ")
+
+
+@pytest.mark.parametrize("rows", [[], [{"a": 1}], [{"b": "café «x»", "n": [1, 2]}, {}, {"c": None}]])
+def test_write_jsonl_bytes(tmp_path, rows):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, iter(rows))
+    expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_jsonl_writes_each_row_as_it_comes(tmp_path):
+    path = tmp_path / "out.jsonl"
+    sizes = []
+
+    def rows():
+        for n in range(3):
+            (tmp,) = tmp_path.glob("out.jsonl.*.tmp")
+            sizes.append(tmp.stat().st_size)
+            yield {"row": n, "pad": "x" * 10_000}  # past the write buffer
+
+    write_jsonl(path, rows())
+    assert sizes[0] == 0 and sizes[0] < sizes[1] < sizes[2]
+    assert [json.loads(line)["row"] for line in path.read_text(encoding="utf-8").splitlines()] \
+        == [0, 1, 2]
+
+
+def test_write_jsonl_failure_leaves_target_untouched(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n", encoding="utf-8")
+
+    def rows():
+        yield {"row": 1}
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_jsonl(path, rows())
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]

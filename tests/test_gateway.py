@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import base64
 import gc
+import http.client
 import json
+import ssl
 import threading
 import time
 import types
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from transcreate.gateway import (
     CompletionRequest,
     Gateway,
+    GatewayError,
     GatewayTimeoutError,
     HttpBackend,
     HttpStatusError,
@@ -278,153 +281,144 @@ class TestConcurrencyCap:
         assert elapsed < 0.1
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def http_backend(url, monkeypatch, **settings):
+    monkeypatch.setenv("TEST_KEY", "secret")
+    return HttpBackend(ProviderConfig(endpoint=url, api_key_env="TEST_KEY", **settings))
 
 
 class TestHttpBackend:
-    def config(self):
-        return ProviderConfig(endpoint="http://127.0.0.1:9/v1/chat", api_key_env="TEST_KEY")
+    """The backend against the localhost stub (``echo_server``): no network."""
 
     @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan")])
     def test_non_positive_timeout_rejected(self, timeout_s):
         with pytest.raises(ValueError, match="timeout_s must be > 0"):
             ProviderConfig(timeout_s=timeout_s)
 
-    def test_missing_api_key(self, monkeypatch):
-        monkeypatch.delenv("TEST_KEY", raising=False)
-        backend = HttpBackend(self.config())
+    @pytest.mark.parametrize("endpoint", [
+        "api.example.com/v1/chat", "http://127.0.0.1:abc/v1", "http://127.0.0.1:70000/v1",
+        "ftp://127.0.0.1/v1", "http:///v1/chat", "http://[::1/v1", "", 5,
+    ])
+    def test_malformed_endpoint_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint"):
+            ProviderConfig(endpoint=endpoint)
+
+    @pytest.mark.parametrize("endpoint", [
+        "http://127.0.0.1:8080/v1/chat", "https://api.openai.com/v1/chat/completions",
+        "HTTPS://Example.COM", "http://[::1]:80/v1?x=1",
+    ])
+    def test_http_endpoints_accepted(self, endpoint):
+        assert ProviderConfig(endpoint=endpoint).endpoint == endpoint
+
+    def test_missing_api_key(self, echo_server, monkeypatch):
+        backend = http_backend(echo_server.url, monkeypatch)
+        monkeypatch.delenv("TEST_KEY")
         with pytest.raises(MissingApiKeyError):
             backend.send(request(), None)
+        assert echo_server.seen == []
 
-    def test_success(self, monkeypatch):
-        monkeypatch.setenv("TEST_KEY", "secret")
-        payload = {"choices": [{"message": {"content": "fine"}}]}
-
-        bodies = []
-
-        def fake_post(session, url, json=None, headers=None, timeout=None):
-            assert url == "http://127.0.0.1:9/v1/chat"
-            assert headers["Authorization"] == "Bearer secret"
-            bodies.append(json)
-            return FakeResponse(200, payload)
-
-        monkeypatch.setattr("requests.Session.post", fake_post)
-        backend = HttpBackend(self.config())
-        assert backend.send(CompletionRequest(system="sys", user="hello", seed=7), None) == "fine"
-        assert backend.send(request(), None) == "fine"
+    def test_success(self, echo_server, monkeypatch):
+        backend = http_backend(echo_server.url, monkeypatch)
+        try:
+            assert backend.send(CompletionRequest(system="sys", user="héllo", seed=7), None) == "héllo"
+            assert backend.send(request(), None) == "hello"
+        finally:
+            backend.close()
         # The whole body, in key order: the sampling settings are fixed here.
         expected = {
             "model": "gpt-4o",
             "messages": [
                 {"role": "system", "content": "sys"},
-                {"role": "user", "content": "hello"},
+                {"role": "user", "content": "héllo"},
             ],
             "temperature": 0.0,
             "max_tokens": 2048,
             "seed": 7,
         }
-        assert list(bodies[0].items()) == list(expected.items())
+        (method, target, headers, raw), second = echo_server.seen
+        assert (method, target) == ("POST", "/v1/chat")
+        assert raw == b'{"model": "gpt-4o", "messages": [{"role": "system", "content": "sys"}, ' \
+                      b'{"role": "user", "content": "h\\u00e9llo"}], "temperature": 0.0, ' \
+                      b'"max_tokens": 2048, "seed": 7}'
+        assert list(json.loads(raw).items()) == list(expected.items())
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Content-Length"] == str(len(raw))
         del expected["seed"]
-        assert list(bodies[1].items()) == list(expected.items())
+        expected["messages"][1]["content"] = "hello"
+        assert list(json.loads(second[3]).items()) == list(expected.items())
 
-    def test_http_error_status(self, monkeypatch):
-        monkeypatch.setenv("TEST_KEY", "secret")
-        monkeypatch.setattr(
-            "requests.Session.post",
-            lambda *a, **k: FakeResponse(400, text="bad request"),
-        )
+    def test_http_error_status(self, echo_server, monkeypatch):
+        echo_server.replies.append((400, b"bad request"))
+        backend = http_backend(echo_server.url, monkeypatch)
         with pytest.raises(HttpStatusError) as err:
-            HttpBackend(self.config()).send(request(), None)
+            backend.send(request(), None)
+        backend.close()
         assert err.value.status == 400
+        assert str(err.value) == "HTTP 400: bad request"
 
-    def test_retry_then_success_through_gateway(self, monkeypatch):
-        monkeypatch.setenv("TEST_KEY", "secret")
-        calls = {"n": 0}
+    def test_redirect_is_not_followed(self, echo_server, monkeypatch):
+        echo_server.replies.append((307, b"moved"))
+        gateway = Gateway(http_backend(echo_server.url, monkeypatch), backoff_base_s=0)
+        with pytest.raises(HttpStatusError) as err:
+            gateway.complete_ex(request())
+        gateway.close()
+        assert err.value.status == 307 and len(echo_server.seen) == 1
 
-        def flaky_post(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                return FakeResponse(503, text="busy")
-            return FakeResponse(200, {"choices": [{"message": {"content": "done"}}]})
+    @pytest.mark.parametrize("body", [b"not json", b"{}", b'{"choices": []}', b"[1]"])
+    def test_malformed_body(self, echo_server, monkeypatch, body):
+        echo_server.replies.append((200, body))
+        backend = http_backend(echo_server.url, monkeypatch)
+        with pytest.raises(GatewayError, match="malformed completion response"):
+            backend.send(request(), None)
+        backend.close()
 
-        monkeypatch.setattr("requests.Session.post", flaky_post)
-        gateway = Gateway(HttpBackend(self.config()), max_retries=3, backoff_base_s=0)
-        result = gateway.complete_ex(request())
+    def test_retry_then_success_through_gateway(self, echo_server, monkeypatch):
+        echo_server.replies.extend([(503, b"busy"), (503, b"busy")])
+        backend = http_backend(echo_server.url, monkeypatch)
+        gateway = Gateway(backend, max_retries=3, backoff_base_s=0)
+        result = gateway.complete_ex(request("done"))
+        gateway.close()
         assert result.text == "done"
         assert result.attempts == 3
+        assert len(echo_server.seen) == 3 and echo_server.connections == 1
 
-    def test_timeout_maps(self, monkeypatch):
-        import requests as requests_lib
-
-        monkeypatch.setenv("TEST_KEY", "secret")
-
-        def timeout_post(*args, **kwargs):
-            raise requests_lib.Timeout("too slow")
-
-        monkeypatch.setattr("requests.Session.post", timeout_post)
+    def test_timeout_maps(self, echo_server, monkeypatch):
+        echo_server.hold = threading.Event()
+        backend = http_backend(echo_server.url, monkeypatch, timeout_s=0.2)
+        start = time.monotonic()
         with pytest.raises(GatewayTimeoutError):
-            HttpBackend(self.config()).send(request(), None)
+            backend.send(request(), None)
+        assert time.monotonic() - start < 2
+        echo_server.hold.set()
+        backend.close()
 
-
-class EchoHandler(BaseHTTPRequestHandler):
-    """Keep-alive chat-completions stub that replies with the user prompt."""
-
-    protocol_version = "HTTP/1.1"
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        content = body["messages"][1]["content"]
-        reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def echo_server(monkeypatch):
-    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy",
-                 "all_proxy"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    server = ThreadingHTTPServer(("127.0.0.1", 0), EchoHandler)
-    server.lock = threading.Lock()
-    server.connections = 0
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join()
+    def test_refused_connection_maps_to_503(self, echo_server, monkeypatch):
+        backend = http_backend(echo_server.url, monkeypatch)
+        echo_server.shutdown()
+        echo_server.server_close()  # nothing listens on the port now
+        with pytest.raises(HttpStatusError, match="connection failure") as err:
+            backend.send(request(), None)
+        backend.close()
+        assert err.value.status == 503
 
 
 class TestHttpConnectionReuse:
-    def backend(self, server, monkeypatch):
-        monkeypatch.setenv("TEST_KEY", "secret")
-        host, port = server.server_address
-        return HttpBackend(ProviderConfig(endpoint=f"http://{host}:{port}/v1/chat",
-                                          api_key_env="TEST_KEY"))
+    def test_idle_connection_closed_by_server_is_replaced_at_once(self, echo_server,
+                                                                  monkeypatch):
+        echo_server.close_idle = True
+        backend = http_backend(echo_server.url, monkeypatch)
+        # A backoff sleep would take 10 s; an extra attempt would show in ``attempts``.
+        gateway = Gateway(backend, max_retries=3, backoff_base_s=10)
+        start = time.monotonic()
+        results = [gateway.complete_ex(request(f"call {n}")) for n in range(3)]
+        gateway.close()
+        assert [r.text for r in results] == ["call 0", "call 1", "call 2"]
+        assert [r.attempts for r in results] == [1, 1, 1]
+        assert time.monotonic() - start < 2
+        assert echo_server.connections == 3
 
     def test_sequential_sends_share_one_connection(self, echo_server, monkeypatch):
-        backend = self.backend(echo_server, monkeypatch)
+        backend = http_backend(echo_server.url, monkeypatch)
         try:
             replies = [backend.send(request(f"call {n}"), None) for n in range(10)]
         finally:
@@ -432,16 +426,75 @@ class TestHttpConnectionReuse:
         assert replies == [f"call {n}" for n in range(10)]
         assert echo_server.connections == 1
 
-    def test_one_session_per_thread_and_close_drops_them(self, echo_server, monkeypatch):
-        backend = self.backend(echo_server, monkeypatch)
+    def test_one_connection_per_thread_and_close_drops_them(self, echo_server, monkeypatch):
+        backend = http_backend(echo_server.url, monkeypatch)
         threads = [threading.Thread(target=backend.send, args=(request(), None))
                    for _ in range(3)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(backend._sessions) == 3
+        connections = list(backend._connections)
+        assert len(connections) == 3 and echo_server.connections == 3
         backend.close()
-        assert backend._sessions == []
+        assert backend._connections == []
+        assert all(connection.sock is None for connection in connections)
         assert backend.send(request("again"), None) == "again"
         backend.close()
+        assert echo_server.connections == 4
+
+
+class TestProxies:
+    """Proxies come from the environment, as ``requests`` read them (no network)."""
+
+    def test_http_proxy_gets_the_absolute_uri(self, echo_server, monkeypatch):
+        host, port = echo_server.server_address
+        monkeypatch.setenv("HTTP_PROXY", f"http://us%3Aer:p%40ss@{host}:{port}")
+        backend = http_backend("http://api.example.invalid:8080/v1/chat?x=1", monkeypatch)
+        assert backend.send(request("via proxy"), None) == "via proxy"
+        backend.close()
+        ((method, target, headers, _),) = echo_server.seen
+        assert (method, target) == ("POST", "http://api.example.invalid:8080/v1/chat?x=1")
+        assert headers["Host"] == "api.example.invalid:8080"
+        token = base64.b64encode(b"us:er:p@ss").decode()
+        assert headers["Proxy-Authorization"] == f"Basic {token}"
+
+    def test_no_proxy_bypasses_it(self, echo_server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        backend = http_backend(echo_server.url, monkeypatch)
+        assert backend.send(request("direct"), None) == "direct"
+        backend.close()
+        ((_, target, headers, _),) = echo_server.seen
+        assert target == "/v1/chat" and "Proxy-Authorization" not in headers
+
+    def test_https_endpoint_verifies_certificates(self, echo_server, monkeypatch):
+        backend = http_backend("https://api.example.invalid/v1/chat", monkeypatch)
+        connection, target, headers = backend._open()  # built, never connected
+        assert isinstance(connection, http.client.HTTPSConnection)
+        assert (connection.host, connection.port, target) == ("api.example.invalid", 443,
+                                                               "/v1/chat")
+        assert connection._context.verify_mode == ssl.CERT_REQUIRED
+        assert connection._context.check_hostname
+        assert connection._tunnel_host is None and headers == {}
+
+    def test_https_endpoint_tunnels_through_the_proxy(self, echo_server, monkeypatch):
+        host, port = echo_server.server_address
+        monkeypatch.setenv("HTTPS_PROXY", f"{host}:{port}")  # no scheme: an HTTP proxy
+        monkeypatch.setenv("https_proxy", f"http://user:pw@{host}:{port}")  # lower case wins
+        backend = http_backend("https://api.example.invalid/v1/chat", monkeypatch)
+        # The stub answers the CONNECT, then hangs up, so the TLS handshake fails.
+        with pytest.raises(HttpStatusError, match="connection failure") as err:
+            backend.send(request(), None)
+        backend.close()
+        assert err.value.status == 503
+        ((method, target, headers, _),) = echo_server.seen
+        assert (method, target) == ("CONNECT", "api.example.invalid:443")
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+    def test_unsupported_proxy_is_a_connection_failure(self, echo_server, monkeypatch):
+        monkeypatch.setenv("ALL_PROXY", "socks5://127.0.0.1:9")
+        backend = http_backend("http://api.example.invalid/v1/chat", monkeypatch)
+        with pytest.raises(HttpStatusError, match="unsupported proxy") as err:
+            backend.send(request(), None)
+        assert err.value.status == 503
