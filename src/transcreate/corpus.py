@@ -93,6 +93,8 @@ class Question:
 
     def __post_init__(self):
         object.__setattr__(self, "options", tuple(self.options))
+        if not isinstance(self.stem, str):
+            raise ValueError(f"stem must be a string, not {self.stem!r}")
         if len(self.options) != 4:
             raise ValueError(f"expected 4 options, got {len(self.options)}")
         trimmed = [opt.strip() for opt in self.options]

@@ -16,6 +16,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Protocol, TextIO
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
@@ -81,14 +82,59 @@ class MalformedMockScriptError(ValidationError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named prompt: fixed system text plus a user template with {placeholders}."""
+    """A named prompt: fixed system text plus a user template with {placeholders}.
+
+    The user template is split into literal and placeholder pieces once, on
+    first use, so rendering is one join.
+    """
 
     name: str
     system_text: str
     user_template: str
 
-    def placeholders(self) -> set[str]:
-        return set(PLACEHOLDER_RE.findall(self.user_template))
+    @cached_property
+    def _pieces(self) -> tuple[str, ...]:
+        # Literals at even indices, placeholder names at odd ones.
+        return tuple(PLACEHOLDER_RE.split(self.user_template))
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Each placeholder name once, in order of first use."""
+        return tuple(dict.fromkeys(self._pieces[1::2]))
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex sha256 of ``[name, system_text, user_template]`` as UTF-8 JSON."""
+        import hashlib  # only records files hash templates; not worth every start-up
+
+        text = json.dumps([self.name, self.system_text, self.user_template], ensure_ascii=False)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def placeholders(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    def match(self, user: str) -> dict[str, str] | None:
+        """Bindings under which this template renders ``user`` exactly, or ``None``.
+
+        Where several splits would do, each placeholder takes the shortest
+        value that lets the rest match.
+        """
+        found = self._matcher.fullmatch(user)
+        return None if found is None else found.groupdict()
+
+    @cached_property
+    def _matcher(self) -> re.Pattern[str]:
+        parts: list[str] = []
+        seen: set[str] = set()
+        for index, piece in enumerate(self._pieces):
+            if index % 2 == 0:
+                parts.append(re.escape(piece))
+            elif piece in seen:
+                parts.append(f"(?P={piece})")
+            else:
+                seen.add(piece)
+                parts.append(f"(?P<{piece}>.*?)")
+        return re.compile("".join(parts), re.DOTALL)
 
 
 def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> tuple[str, str]:
@@ -96,15 +142,21 @@ def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> tu
 
     Bindings must cover every placeholder and reference nothing else.
     """
-    wanted = template.placeholders()
-    for name in wanted:
+    check_bindings(template, bindings)
+    parts = list(template._pieces)
+    parts[1::2] = [bindings[name] for name in parts[1::2]]
+    return template.system_text, "".join(parts)
+
+
+def check_bindings(template: PromptTemplate, bindings: Mapping[str, str]) -> None:
+    """Raise unless ``bindings`` name exactly the template's placeholders."""
+    for name in template.names:
         if name not in bindings:
             raise MissingBindingError(name)
-    for name in bindings:
-        if name not in wanted:
-            raise UnknownPlaceholderError(name)
-    user = PLACEHOLDER_RE.sub(lambda match: bindings[match.group(1)], template.user_template)
-    return template.system_text, user
+    if len(bindings) != len(template.names):
+        for name in bindings:
+            if name not in template.names:
+                raise UnknownPlaceholderError(name)
 
 
 def load_template(path: str | Path, name: str | None = None) -> PromptTemplate:

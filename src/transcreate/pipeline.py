@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     BloomLevel,
@@ -29,7 +29,14 @@ from .corpus import (
 )
 from .errors import GatewayError, ValidationError
 from .fileio import MalformedLineError, read_jsonl, write_jsonl
-from .gateway import CompletionRequest, Gateway, PromptTemplate, load_prompt_dir, render_template
+from .gateway import (
+    CompletionRequest,
+    Gateway,
+    PromptTemplate,
+    check_bindings,
+    load_prompt_dir,
+    render_template,
+)
 from .textmetrics import tokenize_words
 
 STEP_NAMES = {
@@ -41,9 +48,9 @@ STEP_NAMES = {
 }
 ANALYSIS_STEPS = tuple(STEP_NAMES[n] for n in (1, 2, 3))
 
-# Version mark of a records line that refers to an earlier line (``same_as``);
-# lines without one are format 1, which format 2 only extends.
-RECORDS_FORMAT = 2
+# Version mark of the records lines ``save_records`` writes. Lines without a
+# mark are format 1; format 2 lines refer to an earlier line (``same_as``).
+RECORDS_FORMAT = 3
 
 TAG_TOKEN_RE = re.compile(r"\[\[T:(.*?)\]\]")
 _SENTENCE_TERMINALS = frozenset(".!?")
@@ -210,29 +217,54 @@ def parse_tagged_reply(reply: str, original: str, tagset: TagSet) -> TaggedPassa
     return TaggedPassage(original=original, insertions=tuple(insertions))
 
 
+STEP_RETRY_LINE = "Reply again following the required format exactly."
+
+# What joins a first prompt and the reason its reply was rejected; the retry
+# line follows the reason after a newline.
+CORRECTIVE_PREFIX = "\n\nYour previous reply was rejected: "
+
+
+def corrective_prompt(user: str, reason: str, retry_line: str) -> str:
+    """The prompt sent after a rejected reply to ``user``."""
+    return f"{user}{CORRECTIVE_PREFIX}{reason}\n{retry_line}"
+
+
 @dataclass(frozen=True)
 class Exchange:
-    """One prompt/response round with the transport attempt count."""
+    """One prompt/response round with the transport attempt count.
 
-    system: str
-    user: str
+    The prompt is kept as it was asked: its template and bindings, and, for
+    a corrective prompt, the ``rejected`` reason of the reply before it and
+    the ``retry_line``. ``system`` and ``user`` render it on demand, byte for
+    byte as it was sent. ``bindings`` must not change once the exchange exists.
+    """
+
+    template: PromptTemplate
+    bindings: Mapping[str, str]
     response: str
     attempts: int
+    rejected: str | None = None
+    retry_line: str | None = None
+
+    @property
+    def system(self) -> str:
+        return self.template.system_text
+
+    @property
+    def user(self) -> str:
+        user = render_template(self.template, self.bindings)[1]
+        if self.rejected is None:
+            return user
+        return corrective_prompt(user, self.rejected, self.retry_line)
 
     def to_dict(self) -> dict[str, Any]:
+        """The exchange as records format 1 holds it, its prompt rendered."""
         return {
             "system": self.system,
             "user": self.user,
             "response": self.response,
             "attempts": self.attempts,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Exchange":
-        return cls(data["system"], data["user"], data["response"], data["attempts"])
-
-
-STEP_RETRY_LINE = "Reply again following the required format exactly."
 
 
 def format_options(question: Question) -> str:
@@ -263,24 +295,26 @@ def ask_validated(
     """Prompt, parse, and retry with a corrective instruction on violations.
 
     Each round is appended to ``exchanges``. A rejected reply is followed by
-    the original prompt plus the rejection reason and ``retry_line``; after
-    ``retry_budget`` rejected retries the last :class:`ValidationError` is
-    raised. Gateway errors propagate unchanged.
+    the original prompt plus the rejection reason and ``retry_line`` (see
+    :func:`corrective_prompt`); after ``retry_budget`` rejected retries the
+    last :class:`ValidationError` is raised. Gateway errors propagate unchanged.
     """
     system, user = render_template(template, bindings)
-    corrective = user
+    reason: str | None = None
     last_error: ValidationError | None = None
     try:
         for _ in range(retry_budget + 1):
-            request = CompletionRequest(system=system, user=corrective, seed=seed)
+            prompt = user if reason is None else corrective_prompt(user, reason, retry_line)
+            request = CompletionRequest(system=system, user=prompt, seed=seed)
             result = gateway.complete_ex(request, step=step)
             if exchanges is not None:
-                exchanges.append(Exchange(system, corrective, result.text, result.attempts))
+                exchanges.append(Exchange(template, bindings, result.text, result.attempts,
+                                          reason, None if reason is None else retry_line))
             try:
                 return parse(result.text)
             except ValidationError as exc:
                 last_error = exc
-                corrective = f"{user}\n\nYour previous reply was rejected: {exc}\n{retry_line}"
+                reason = str(exc)
         assert last_error is not None
         raise last_error
     finally:
@@ -349,20 +383,17 @@ class TranscreationRecord:
             return self.source.id
         return f"{self.source.id}:{self.student_id}"
 
-    def to_dict(self, same_as: str | None = None) -> dict[str, Any]:
-        """The record as a records-file line.
+    def to_dict(self) -> dict[str, Any]:
+        """The record as a records format 1 line: every field in full, every prompt rendered."""
+        head = {"record_id": self.record_id, "source": self.source.to_dict()}
+        return self._line(head, {
+            step: [exchange.to_dict() for exchange in exchanges]
+            for step, exchanges in self.step_exchanges.items()
+        })
 
-        With ``same_as``, the record id of an earlier line with the same
-        source and steps 1-3 exchanges, the line refers to that line instead
-        of repeating them, and carries ``"format": 2``.
-        """
-        out: dict[str, Any] = {"record_id": self.record_id}
-        if same_as is None:
-            out["source"] = self.source.to_dict()
-        else:
-            out["format"] = RECORDS_FORMAT
-            out["same_as"] = same_as
-        out.update(
+    def _line(self, head: dict[str, Any], step_exchanges: dict[str, Any]) -> dict[str, Any]:
+        """``head`` followed by the fields every records line holds in full."""
+        head.update(
             student_id=self.student_id,
             assignment_mode=self.assignment_mode,
             extracted_topic=self.extracted_topic,
@@ -378,55 +409,10 @@ class TranscreationRecord:
                 if self.transcreated_questions
                 else None
             ),
-            step_exchanges={
-                step: [e.to_dict() for e in exchanges]
-                for step, exchanges in self.step_exchanges.items()
-                if same_as is None or step not in ANALYSIS_STEPS
-            },
+            step_exchanges=step_exchanges,
             status=self.status.to_dict(),
         )
-        return out
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], same_as: "TranscreationRecord | None" = None
-    ) -> "TranscreationRecord":
-        """The inverse of :meth:`to_dict`.
-
-        With ``same_as``, the record that ``data`` refers to, the record
-        shares its source and its steps 1-3 exchanges, in new lists.
-        """
-        blooms = data.get("question_blooms")
-        questions = data.get("transcreated_questions")
-        exchanges = data.get("step_exchanges", {})
-        if same_as is None:
-            source = ReadingItem.from_dict(data["source"])
-            step_exchanges = {}
-        else:
-            if "source" in data or not set(ANALYSIS_STEPS).isdisjoint(exchanges):
-                raise ValueError("a same_as line repeats its source or steps 1-3 exchanges")
-            source = same_as.source
-            step_exchanges = {name: list(same_as.step_exchanges[name]) for name in ANALYSIS_STEPS}
-        for step, entries in exchanges.items():
-            step_exchanges[step] = [Exchange.from_dict(e) for e in entries]
-        return cls(
-            source=source,
-            target_topic=data["target_topic"],
-            student_id=data.get("student_id"),
-            assignment_mode=data.get("assignment_mode"),
-            extracted_topic=data.get("extracted_topic"),
-            question_blooms=tuple(BloomLevel.parse(b) for b in blooms) if blooms else None,
-            tagged_source=(
-                TaggedPassage.from_dict(data["tagged_source"]) if data.get("tagged_source") else None
-            ),
-            transcreated_passage=data.get("transcreated_passage"),
-            transcreated_questions=(
-                tuple(Question.from_dict(q) for q in questions) if questions else None
-            ),
-            topic_unchanged=data.get("topic_unchanged", False),
-            step_exchanges=step_exchanges,
-            status=RecordStatus.from_dict(data["status"]),
-        )
+        return head
 
 
 def _analysis_exchanges(record: TranscreationRecord) -> list[list[Exchange]] | None:
@@ -438,69 +424,401 @@ def _analysis_exchanges(record: TranscreationRecord) -> list[list[Exchange]] | N
 
 
 def save_records(records: Iterable[TranscreationRecord], path: str | Path) -> None:
-    """Write records as JSONL, one line per record in order, atomically.
+    """Write records as records format 3 JSONL, one line per record in order, atomically.
 
     A record whose source and steps 1-3 exchanges equal those of an earlier
-    line is written with a reference to that line in their place (see
-    :meth:`TranscreationRecord.to_dict`); every other field is written in
-    full on every line.
+    line refers to that line (``same_as``) in their place. Each prompt is
+    written as its template and bindings: a template, or a binding taken
+    from the taxonomy or the tag set, goes once into the file's text table,
+    and a binding that a field of the line (or of its ``same_as`` line)
+    reproduces is written as a reference to that field. Every other field
+    is written in full on every line.
     """
-    write_jsonl(path, _record_lines(records))
+    writer = _RecordsWriter()
+    write_jsonl(path, map(writer.line, records))
 
 
-def _record_lines(records: Iterable[TranscreationRecord]) -> Iterator[dict[str, Any]]:
-    latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
-    in_full: dict[str, dict[str, None]] = {}  # item id -> record ids written in full
-    for record in records:
+def load_records(path: str | Path) -> list[TranscreationRecord]:
+    """Read a records file of format 1, 2 or 3 lines.
+
+    A line that is malformed, refers to no earlier line or to a text the
+    file has not defined, or whose prompt does not fit its template, raises
+    :class:`MalformedLineError` naming ``path:line``.
+    """
+    reader = _RecordsReader()
+    records: list[TranscreationRecord] = []
+    for line_no, data in read_jsonl(path, "records file"):
+        try:
+            records.append(reader.record(data))
+        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
+            raise MalformedLineError(path, line_no, f"bad record: {exc}") from exc
+    return records
+
+
+# -- records format 3 ------------------------------------------------------------
+
+# Binding name -> the field references a writer tries for it, in order.
+_FIELD_CANDIDATES = {
+    "passage": ("source.passage", "transcreated_passage"),
+    "stem": ("source.stem",),
+    "options": ("source.options",),
+    "questions": ("source.stems",),
+    "tagged_passage": ("tagged_source",),
+    "questions_json": ("questions_payload",),
+}
+# Field references that name one source question, by its index.
+_QUESTION_FIELDS: dict[str, Callable[[Question], str]] = {
+    "source.stem": lambda question: question.stem,
+    "source.options": format_options,
+}
+# Bindings taken from the taxonomy or the tag set, the same for many lines.
+_TABLE_BINDINGS = frozenset({"topic_list", "tag_list", "source_description",
+                             "target_description"})
+_TEXT_KEY_LENGTH = 16  # hex digits of the sha256; all 64 where a prefix is taken
+
+
+def _sha256(text: str) -> str:
+    import hashlib  # records files only; not worth every start-up
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reply(entry: Mapping[str, Any]) -> tuple[str, int]:
+    """An exchange entry's response and attempt count, checked."""
+    response, attempts = entry["response"], entry["attempts"]
+    if not isinstance(response, str) or type(attempts) is not int:
+        raise TypeError("an exchange needs a string response and an integer attempts")
+    return response, attempts
+
+
+def question_list(questions: Sequence[Question]) -> str:
+    """The question stems as ``- stem`` lines, as the step 3 prompt shows them."""
+    return "\n".join(f"- {q.stem}" for q in questions)
+
+
+# Field references that name a text of the record, or None where it has none.
+_RECORD_FIELDS: dict[str, Callable[[TranscreationRecord], str | None]] = {
+    "source.passage": lambda record: record.source.passage,
+    "source.stems": lambda record: question_list(record.source.questions),
+    "tagged_source": lambda record: (
+        record.tagged_source.render() if record.tagged_source else None),
+    "transcreated_passage": lambda record: record.transcreated_passage,
+}
+
+
+class _FieldViews:
+    """The texts that field references name, with step 5's payload computed
+    once per source and levels."""
+
+    def __init__(self) -> None:
+        self._payloads: dict[int, tuple[ReadingItem, tuple[BloomLevel, ...], str]] = {}
+
+    def view(self, record: TranscreationRecord, field: Any, question: Any = None) -> str | None:
+        """The text ``field`` names on ``record``, or ``None`` if it names none."""
+        if question is None:
+            get = _RECORD_FIELDS.get(field)
+            if get is not None:
+                return get(record)
+            if field == "questions_payload" and record.question_blooms:
+                return self._payload(record.source, record.question_blooms)
+            return None
+        get = _QUESTION_FIELDS.get(field)
+        questions = record.source.questions
+        if get is None or type(question) is not int or not 0 <= question < len(questions):
+            return None
+        return get(questions[question])
+
+    def _payload(self, source: ReadingItem, blooms: tuple[BloomLevel, ...]) -> str:
+        cached = self._payloads.get(id(source))
+        if cached is None or cached[0] is not source or cached[1] != blooms:
+            payload = questions_payload(source.questions, blooms)
+            cached = self._payloads[id(source)] = (source, blooms, payload)
+        return cached[2]
+
+
+class _RecordsWriter(_FieldViews):
+    """Turns records into format 3 lines, in file order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
+        self._in_full: dict[str, dict[str, None]] = {}  # item id -> record ids written in full
+        self._keys: dict[str | PromptTemplate, str] = {}  # text or template -> its key
+        self._taken: set[str] = set()
+        self._new: dict[str, Any] = {}  # the texts the current line defines
+        self._plans: dict[PromptTemplate, tuple[tuple[str, tuple[str, ...], bool], ...]] = {}
+
+    def line(self, record: TranscreationRecord) -> dict[str, Any]:
+        same_as = self._same_as(record)
+        self._new = {}
+        exchanges = {
+            step: [self._exchange(exchange, record) for exchange in entries]
+            for step, entries in record.step_exchanges.items()
+            if same_as is None or step not in ANALYSIS_STEPS
+        }
+        head: dict[str, Any] = {"record_id": record.record_id, "format": RECORDS_FORMAT}
+        if same_as is not None:
+            head["same_as"] = same_as
+        if self._new:
+            head["texts"] = self._new
+        if same_as is None:
+            head["source"] = record.source.to_dict()
+        return record._line(head, exchanges)
+
+    def _same_as(self, record: TranscreationRecord) -> str | None:
+        """The id of an earlier line with this record's source and steps 1-3 exchanges."""
         record_id = record.record_id
         analysis = _analysis_exchanges(record)
         same_as = None
         if analysis is not None:
-            for candidate in in_full.get(record.source.id, ()):
-                earlier = latest[candidate]
+            for candidate in self._in_full.get(record.source.id, ()):
+                earlier = self._latest[candidate]
                 if earlier.source == record.source and _analysis_exchanges(earlier) == analysis:
                     same_as = candidate
                     break
         if same_as is None:
-            in_full.setdefault(record.source.id, {})[record_id] = None
-        latest[record_id] = record
-        yield record.to_dict(same_as)
+            self._in_full.setdefault(record.source.id, {})[record_id] = None
+        self._latest[record_id] = record
+        return same_as
+
+    def _exchange(self, exchange: Exchange, record: TranscreationRecord) -> dict[str, Any]:
+        template = self._key(exchange.template)
+        values = exchange.bindings
+        bindings: dict[str, Any] = {}
+        question = None  # the source question an earlier binding named, tried first
+        for name, fields, table in self._plan(exchange.template):
+            value = values[name]
+            ref = self._reference(fields, value, record, question) if fields else None
+            if ref is not None:
+                bindings[name] = ref
+                question = ref.get("question", question)
+            elif table:
+                bindings[name] = {"text": self._key(value)}
+            else:
+                bindings[name] = value
+        out: dict[str, Any] = {"template": template, "bindings": bindings}
+        if exchange.rejected is not None:
+            out["rejected"] = {"reason": exchange.rejected, "retry_line": exchange.retry_line}
+        out["response"] = exchange.response
+        out["attempts"] = exchange.attempts
+        return out
+
+    def _plan(self, template: PromptTemplate) -> tuple[tuple[str, tuple[str, ...], bool], ...]:
+        """Per placeholder: its name, the fields to try, and whether it goes in the table."""
+        plan = self._plans.get(template)
+        if plan is None:
+            plan = self._plans[template] = tuple(
+                (name, _FIELD_CANDIDATES.get(name, ()), name in _TABLE_BINDINGS)
+                for name in template.names)
+        return plan
+
+    def _reference(self, fields: tuple[str, ...], value: str, record: TranscreationRecord,
+                   question: int | None) -> dict[str, Any] | None:
+        """A reference to the first field that reproduces ``value`` exactly, if any;
+        of a question's fields, those of ``question`` are tried first."""
+        for field in fields:
+            if field in _QUESTION_FIELDS:
+                indexes = range(len(record.source.questions))
+                for index in indexes if question is None else (question, *indexes):
+                    if self.view(record, field, index) == value:
+                        return {"field": field, "question": index}
+            elif self.view(record, field) == value:
+                return {"field": field}
+        return None
+
+    def _key(self, text: str | PromptTemplate) -> str:
+        """The text-table key of ``text``, defined on the current line if it is new."""
+        key = self._keys.get(text)
+        if key is None:
+            if isinstance(text, PromptTemplate):
+                digest = text.sha256
+                entry: Any = {"name": text.name, "system": text.system_text,
+                              "user": text.user_template}
+            else:
+                digest, entry = _sha256(text), text
+            key = digest[:_TEXT_KEY_LENGTH]
+            if key in self._taken:
+                key = digest
+            self._keys[text] = key
+            self._taken.add(key)
+            self._new[key] = entry
+        return key
 
 
-def load_records(path: str | Path) -> list[TranscreationRecord]:
-    """Read a records file; lines without a ``format`` mark are format 1.
+class _RecordsReader(_FieldViews):
+    """Turns the lines of one records file into records, in file order."""
 
-    A ``"format": 2`` line takes its source and steps 1-3 exchanges from
-    the nearest earlier line whose record id its ``same_as`` names. A
-    malformed line, or a reference to no earlier line, raises
-    :class:`MalformedLineError` naming ``path:line``.
-    """
-    records: list[TranscreationRecord] = []
-    latest: dict[str, TranscreationRecord] = {}  # record id -> its last line so far
-    for line_no, data in read_jsonl(path, "records file"):
-        try:
-            record = _record_from_line(data, latest)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise MalformedLineError(path, line_no, f"bad record: {exc}") from exc
-        latest[record.record_id] = record
-        records.append(record)
-    return records
+    def __init__(self) -> None:
+        super().__init__()
+        # record id -> its last line so far, as a record and its raw tagged_source
+        self._latest: dict[str, tuple[TranscreationRecord, Any]] = {}
+        self._texts: dict[str, str | PromptTemplate] = {}
+        self._package_templates: dict[str, PromptTemplate] | None = None
 
+    def record(self, data: Any) -> TranscreationRecord:
+        if not isinstance(data, dict):
+            raise TypeError("a record must be a JSON object")
+        version = data.get("format", 1)
+        if type(version) is not int:
+            raise TypeError(f"records format must be an integer, not {version!r}")
+        if version not in (1, 2, RECORDS_FORMAT):
+            raise ValueError(f"unknown records format {version!r}")
+        exchanges = data.get("step_exchanges", {})
+        base = base_tagged = None
+        if version == 2 or (version == RECORDS_FORMAT and "same_as" in data):
+            same_as = data["same_as"]
+            if not isinstance(same_as, str) or same_as not in self._latest:
+                raise ValueError(f"same_as {same_as!r} names no earlier record")
+            if "source" in data or not set(ANALYSIS_STEPS).isdisjoint(exchanges):
+                raise ValueError("a same_as line repeats its source or steps 1-3 exchanges")
+            base, base_tagged = self._latest[same_as]
+        if version == RECORDS_FORMAT:
+            self._define(data.get("texts", {}))
+        record = self._fields(data, base, base_tagged)
+        if base is not None:
+            for name in ANALYSIS_STEPS:
+                record.step_exchanges[name] = list(base.step_exchanges[name])
+        for step, entries in exchanges.items():
+            if not isinstance(entries, list):
+                raise TypeError(f"step {step!r} must hold a list of exchanges")
+            if version == RECORDS_FORMAT:
+                record.step_exchanges[step] = [self._exchange(entry, record) for entry in entries]
+            else:
+                record.step_exchanges[step] = self._lift(step, entries)
+        self._latest[record.record_id] = (record, data.get("tagged_source"))
+        return record
 
-def _record_from_line(
-    data: Any, latest: Mapping[str, TranscreationRecord]
-) -> TranscreationRecord:
-    if not isinstance(data, dict):
-        raise TypeError("a record must be a JSON object")
-    version = data.get("format", 1)
-    if version == 1:
-        return TranscreationRecord.from_dict(data)
-    if version != RECORDS_FORMAT:
-        raise ValueError(f"unknown records format {version!r}")
-    same_as = data["same_as"]
-    if not isinstance(same_as, str) or same_as not in latest:
-        raise ValueError(f"same_as {same_as!r} names no earlier record")
-    return TranscreationRecord.from_dict(data, same_as=latest[same_as])
+    @staticmethod
+    def _fields(data: Mapping[str, Any], base: TranscreationRecord | None,
+                base_tagged: Any) -> TranscreationRecord:
+        """The record without its exchanges. A line whose ``tagged_source``
+        equals ``base_tagged``, its base line's, shares the base record's object."""
+        blooms = data.get("question_blooms")
+        questions = data.get("transcreated_questions")
+        tagged = data.get("tagged_source")
+        passage = data.get("transcreated_passage")
+        if passage is not None and not isinstance(passage, str):
+            raise TypeError(f"transcreated_passage must be a string or null, not {passage!r}")
+        if not tagged:
+            tagged_source = None
+        elif base is not None and base.tagged_source and tagged == base_tagged:
+            tagged_source = base.tagged_source
+        else:
+            tagged_source = TaggedPassage.from_dict(tagged)
+        record = TranscreationRecord(
+            source=base.source if base is not None else ReadingItem.from_dict(data["source"]),
+            target_topic=data["target_topic"],
+            student_id=data.get("student_id"),
+            assignment_mode=data.get("assignment_mode"),
+            extracted_topic=data.get("extracted_topic"),
+            question_blooms=tuple(BloomLevel.parse(b) for b in blooms) if blooms else None,
+            tagged_source=tagged_source,
+            transcreated_passage=passage,
+            transcreated_questions=(
+                tuple(Question.from_dict(q) for q in questions) if questions else None
+            ),
+            topic_unchanged=data.get("topic_unchanged", False),
+            step_exchanges={},
+            status=RecordStatus.from_dict(data["status"]),
+        )
+        if record.status.is_complete and not (passage and record.transcreated_questions):
+            raise ValueError("a complete record needs its transcreated passage and questions")
+        return record
+
+    def _define(self, texts: Any) -> None:
+        if not isinstance(texts, dict):
+            raise TypeError("texts must be a JSON object")
+        for key, entry in texts.items():
+            if isinstance(entry, str):
+                text: str | PromptTemplate = entry
+                digest = _sha256(entry)
+            elif isinstance(entry, dict) and all(
+                    isinstance(entry.get(part), str) for part in ("name", "system", "user")):
+                text = PromptTemplate(entry["name"], entry["system"], entry["user"])
+                digest = text.sha256
+            else:
+                raise TypeError(f"text {key!r} must be a string or a template object")
+            if len(key) not in (_TEXT_KEY_LENGTH, len(digest)) or not digest.startswith(key):
+                raise ValueError(f"text key {key!r} is not the start of its text's sha256")
+            self._texts[key] = text
+
+    def _text(self, key: Any, kind: type) -> Any:
+        text = self._texts.get(key) if type(key) is str else None
+        if type(text) is not kind:
+            what = "template" if kind is PromptTemplate else "text"
+            raise ValueError(f"{what} {key!r} is not in the file's text table")
+        return text
+
+    def _exchange(self, entry: Any, record: TranscreationRecord) -> Exchange:
+        if not isinstance(entry, dict):
+            raise TypeError("an exchange must be a JSON object")
+        template = self._text(entry["template"], PromptTemplate)
+        raw = entry["bindings"]
+        if not isinstance(raw, dict):
+            raise TypeError("bindings must be a JSON object")
+        bindings = {}
+        for name, value in raw.items():
+            bindings[name] = value if type(value) is str else self._binding(name, value, record)
+        if tuple(bindings) != template.names:  # as written; any other order is checked in full
+            check_bindings(template, bindings)
+        rejected = entry.get("rejected")
+        reason = retry_line = None
+        if rejected is not None:
+            reason, retry_line = rejected["reason"], rejected["retry_line"]
+            if not (isinstance(reason, str) and isinstance(retry_line, str)):
+                raise TypeError("a rejection needs a string reason and retry_line")
+        return Exchange(template, bindings, *_reply(entry), reason, retry_line)
+
+    def _binding(self, name: str, value: Any, record: TranscreationRecord) -> str:
+        """The text a binding that is not a plain string refers to."""
+        if type(value) is dict:
+            if "field" in value:
+                text = self.view(record, value["field"], value.get("question"))
+                if text is None:
+                    raise ValueError(f"binding {name!r}: {value} names no text this line holds")
+                return text
+            if "text" in value:
+                return self._text(value["text"], str)
+        raise TypeError(f"binding {name!r} must be a string, a text or a field reference")
+
+    def _lift(self, step: str, entries: list[Any]) -> list[Exchange]:
+        """Format 1 and 2 exchanges, whose prompts are rendered, as template and bindings.
+
+        A prompt that the package template of its step renders is taken
+        apart by it; any other is kept whole as the template ``{prompt}``.
+        A prompt that extends the step's latest other prompt as
+        :func:`corrective_prompt` does is kept as its reason and retry line.
+        """
+        out: list[Exchange] = []
+        first: tuple[Exchange, str] | None = None  # the latest prompt that was not corrective
+        for entry in entries:
+            system, user = entry["system"], entry["user"]
+            if not (isinstance(system, str) and isinstance(user, str)):
+                raise TypeError("an exchange's system and user must be strings")
+            exchange = None
+            if first is not None and first[0].system == system and user.startswith(
+                    first[1] + CORRECTIVE_PREFIX):
+                tail = user[len(first[1]) + len(CORRECTIVE_PREFIX):]
+                reason, newline, retry_line = tail.rpartition("\n")
+                if newline:
+                    exchange = Exchange(first[0].template, first[0].bindings, *_reply(entry),
+                                        reason, retry_line)
+            if exchange is None:
+                template, bindings = self._prompt(step, system, user)
+                exchange = Exchange(template, bindings, *_reply(entry))
+                first = (exchange, user)
+            out.append(exchange)
+        return out
+
+    def _prompt(self, step: str, system: str, user: str) -> tuple[PromptTemplate, dict[str, str]]:
+        if self._package_templates is None:
+            self._package_templates = load_templates()
+        template = self._package_templates.get(step)
+        if template is not None and template.system_text == system:
+            bindings = template.match(user)
+            if bindings is not None:
+                return template, bindings
+        return PromptTemplate(step, system, "{prompt}"), {"prompt": user}
 
 
 def default_prompt_dir() -> Path:
@@ -511,18 +829,25 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
     return load_prompt_dir(directory or default_prompt_dir())
 
 
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def questions_payload(source_questions: Sequence[Question], blooms: Sequence[BloomLevel]) -> str:
-    """The source questions with their levels, as the step 5 prompt shows them."""
-    payload = [
-        {
-            "stem": q.stem,
-            "options": list(q.options),
-            "answer": "ABCD"[q.answer_index],
-            "bloom": bloom.value,
-        }
+    """The source questions with their levels, as the step 5 prompt shows them.
+
+    The text is ``json.dumps(payload, ensure_ascii=False, indent=2)`` of one
+    ``{"stem", "options", "answer", "bloom"}`` object per question, written
+    here directly because ``json`` encodes an indented document in pure
+    Python, several times slower; each string is still encoded by ``json``.
+    """
+    entries = [
+        '  {\n    "stem": ' + _json_string(q.stem)
+        + ',\n    "options": [\n      ' + ",\n      ".join(map(_json_string, q.options))
+        + '\n    ],\n    "answer": ' + _json_string("ABCD"[q.answer_index])
+        + ',\n    "bloom": ' + _json_string(bloom.value) + "\n  }"
         for q, bloom in zip(source_questions, blooms)
     ]
-    return json.dumps(payload, ensure_ascii=False, indent=2)
+    return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
 
 
 @dataclass
@@ -650,7 +975,7 @@ class TranscreationPipeline:
         self, item: ReadingItem, exchanges: list[Exchange] | None = None
     ) -> TaggedPassage:
         """Step 3: mark support sentences with linguistic-feature tags."""
-        questions = "\n".join(f"- {q.stem}" for q in item.questions)
+        questions = question_list(item.questions)
         tag_list = "\n".join(f"{tag.id}: {tag.description}" for tag in self.tagset.tags)
 
         def parse(reply: str) -> TaggedPassage:

@@ -222,6 +222,43 @@ def v1_rendering(records) -> bytes:
                    for record in records).encode("utf-8")
 
 
+ANALYSIS_STEPS = ("extract_topic", "classify_question", "tag_features")
+
+
+def v2_rendering(records) -> bytes:
+    """Records as format 2 wrote them: prompts rendered, and a record whose
+    source and steps 1-3 exchanges equal those of an earlier line written
+    with ``"format": 2, "same_as": <record_id>`` in their place."""
+    out = []
+    latest: dict[str, dict] = {}  # record id -> its last line so far, in full
+    in_full: dict[str, list[str]] = {}  # item id -> record ids written in full
+    for record in records:
+        line = record.to_dict()
+        exchanges = line["step_exchanges"]
+        same_as = None
+        if tuple(exchanges)[:3] == ANALYSIS_STEPS:
+            for candidate in in_full.get(record.source.id, ()):
+                earlier = latest[candidate]
+                if earlier["source"] == line["source"] and all(
+                        earlier["step_exchanges"][step] == exchanges[step]
+                        for step in ANALYSIS_STEPS):
+                    same_as = candidate
+                    break
+        if same_as is None:
+            in_full.setdefault(record.source.id, []).append(record.record_id)
+            written = line
+        else:
+            written = {"record_id": line["record_id"], "format": 2, "same_as": same_as}
+            written.update((key, value) for key, value in line.items()
+                           if key not in ("record_id", "source", "step_exchanges"))
+            written["step_exchanges"] = {step: entries for step, entries in exchanges.items()
+                                         if step not in ANALYSIS_STEPS}
+            written["status"] = written.pop("status")
+        latest[record.record_id] = line
+        out.append(json.dumps(written, ensure_ascii=False) + "\n")
+    return "".join(out).encode("utf-8")
+
+
 class EchoHandler(BaseHTTPRequestHandler):
     """Keep-alive chat-completions stub that replies with the user prompt.
 

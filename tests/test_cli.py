@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conftest import BLOOM_CYCLE, build_mock_script, make_question, v1_rendering
+from conftest import BLOOM_CYCLE, build_mock_script, make_question, v1_rendering, v2_rendering
 from transcreate import cli
 from transcreate.corpus import ReadingItem, save_items
 from transcreate.pipeline import load_records, save_records
@@ -697,10 +697,13 @@ class TestInputFiles:
 class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 
-    Records digests other than ``RECORDS_V2_SHA256`` are of the records as
+    ``RECORDS_V3_SHA256`` is of the file ``transcreate`` writes, and
+    ``RECORDS_V2_SHA256`` of the same records as format 2 wrote them
+    (``v2_rendering``). The other records digests are of the records as
     format 1 wrote them, every line in full (``v1_rendering``).
     """
 
+    RECORDS_V3_SHA256 = "d23a5e366a0c43abba2e581386f54128d714d64fac7dc80d77ef201e7e0c7807"
     RECORDS_V2_SHA256 = "62fb892489ef228b3684649ab0d5e0c0e09a44cb5d6706a109061e0717064b7d"
     RECORDS_SHA256 = "8bc80fd10e18075425865d98f6977b2b3412a0bb70ce164e8aeaa2c55156dc00"
     JUDGE_SHA256 = "4a1a601d91d4b77bdeb339b8b6770691f6eb5af3af60e3e31bfc23d4bee4133f"
@@ -759,11 +762,14 @@ class TestGoldenDigests:
         raw = (workdir / "out.jsonl").read_bytes()
         assert [json.loads(line).get("same_as") for line in raw.splitlines()] == (
             [None] * 4 + [f"{item.id}:s1" for item in fixture_items])
-        assert digest(raw) == self.RECORDS_V2_SHA256
-        # Format 1 -> load -> save gives the same file.
-        (workdir / "v1.jsonl").write_bytes(records)
-        save_records(load_records(workdir / "v1.jsonl"), workdir / "v2.jsonl")
-        assert (workdir / "v2.jsonl").read_bytes() == raw
+        assert digest(raw) == self.RECORDS_V3_SHA256
+        v2 = v2_rendering(load_records(workdir / "out.jsonl"))
+        assert digest(v2) == self.RECORDS_V2_SHA256
+        # A format 1, 2 or 3 file -> load -> save gives the same file.
+        for name, data in (("v1", records), ("v2", v2), ("v3", raw)):
+            (workdir / f"{name}.jsonl").write_bytes(data)
+            save_records(load_records(workdir / f"{name}.jsonl"), workdir / "again.jsonl")
+            assert (workdir / "again.jsonl").read_bytes() == raw, name
         assert digest((workdir / "verdicts.json").read_bytes()) == self.JUDGE_SHA256
         assert digest("\n".join(log_lines).encode("utf-8")) == self.LOG_SHA256
 

@@ -6,6 +6,7 @@ import base64
 import gc
 import http.client
 import json
+import random
 import ssl
 import threading
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from transcreate.gateway import (
+    PLACEHOLDER_RE,
     CompletionRequest,
     Gateway,
     GatewayError,
@@ -67,6 +69,39 @@ class TestRenderTemplate:
     def test_repeated_placeholder(self):
         template = PromptTemplate("t", "sys", "{x}, again {x}")
         assert render_template(template, {"x": "1"})[1] == "1, again 1"
+
+    def test_matches_a_substitution_scan_on_seeded_templates(self):
+        # The compiled pieces render as one re.sub pass over the template
+        # did, braces inside bound values and around placeholders included.
+        rng = random.Random(17)
+        alphabet = ["{", "}", "{{", "}}", "{a}", " ", "x", "\n", "é", "{1}", "{ a}"]
+        for _ in range(300):
+            names = rng.sample(["a", "b", "c_1", "_d"], rng.randint(0, 4))
+            pieces = [rng.choice(alphabet) for _ in range(rng.randint(0, 6))]
+            pieces += [f"{{{rng.choice(names)}}}" for _ in range(rng.randint(0, 5)) if names]
+            rng.shuffle(pieces)
+            text = "".join(pieces)
+            template = PromptTemplate("t", "sys", text)
+            wanted = set(PLACEHOLDER_RE.findall(text))
+            bindings = {name: "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+                        for name in wanted}
+            expected = PLACEHOLDER_RE.sub(lambda match: bindings[match.group(1)], text)
+            assert render_template(template, bindings) == ("sys", expected)
+            assert template.placeholders() == wanted
+            found = template.match(expected)
+            assert found is not None and render_template(template, found)[1] == expected
+            for name in wanted:
+                with pytest.raises(MissingBindingError):
+                    render_template(template, {k: v for k, v in bindings.items() if k != name})
+            with pytest.raises(UnknownPlaceholderError):
+                render_template(template, {**bindings, "zz": "1"})
+
+    def test_match_takes_a_prompt_apart(self):
+        template = PromptTemplate("t", "sys", "A {x} and {y}, {x} again.")
+        assert template.match("A 1 and {y}, 1 again.") == {"x": "1", "y": "{y}"}
+        assert template.match("A 1 and 2, 3 again.") is None
+        assert template.sha256 == PromptTemplate("t", "sys", "A {x} and {y}, {x} again.").sha256
+        assert template.sha256 != PromptTemplate("u", "sys", "A {x} and {y}, {x} again.").sha256
 
 
 class TestTemplateFiles:

@@ -25,8 +25,9 @@ from conftest import (
     tagged_reply,
     themed_passage_reply,
     v1_rendering,
+    v2_rendering,
 )
-from transcreate.corpus import BloomLevel, UnknownTopicError
+from transcreate.corpus import BloomLevel, Question, UnknownTopicError
 from transcreate.errors import ValidationError
 from transcreate.gateway import Gateway
 from transcreate.pipeline import (
@@ -35,6 +36,7 @@ from transcreate.pipeline import (
     LengthViolationError,
     MissingProfileError,
     STEP_NAMES,
+    STEP_RETRY_LINE,
     RoundTripViolationError,
     StructureViolationError,
     TagInsertion,
@@ -44,9 +46,12 @@ from transcreate.pipeline import (
     TranscreationPipeline,
     TranscreationRecord,
     UnknownTagError,
+    Work,
     assign_topics,
     load_records,
+    load_templates,
     parse_tagged_reply,
+    questions_payload,
     save_records,
     strip_tags,
 )
@@ -561,7 +566,7 @@ class TestRecordsFile:
         for line, record in zip(lines, records):
             referring = "same_as" in line
             assert ("source" in line) != referring
-            assert line.get("format") == (2 if referring else None)
+            assert line["format"] == 3
             steps = list(STEP_NAMES.values())[3 if referring else 0:]
             assert list(line["step_exchanges"]) == steps
             # Every other field is on every line.
@@ -577,11 +582,11 @@ class TestRecordsFile:
         v1.write_bytes(v1_rendering(records))
         loaded = load_records(v1)
         assert loaded == records
-        v2 = tmp_path / "v2.jsonl"
-        save_records(loaded, v2)
-        assert load_records(v2) == records
+        v3 = tmp_path / "v3.jsonl"
+        save_records(loaded, v3)
+        assert load_records(v3) == records
         again = tmp_path / "again.jsonl"
-        again.write_bytes(v1_rendering(load_records(v2)))
+        again.write_bytes(v1_rendering(load_records(v3)))
         assert again.read_bytes() == v1.read_bytes()
 
     def test_loaded_records_share_objects_in_their_own_lists(self, taxonomy, tagset,
@@ -644,7 +649,7 @@ class TestRecordsFile:
         ({"same_as": "r9:s1"}, "same_as 'r9:s1' names no earlier record"),
         ({"same_as": "r1:s2"}, "same_as 'r1:s2' names no earlier record"),  # a later line
         ({"same_as": ["r1:s1"]}, "same_as ['r1:s1'] names no earlier record"),
-        ({"same_as": "r1:s1", "format": 3}, "unknown records format 3"),
+        ({"same_as": "r1:s1", "format": 4}, "unknown records format 4"),
         ({"same_as": "r1:s1", "source": None}, "repeats its source"),
     ])
     def test_bad_reference_names_its_line(self, taxonomy, tagset, fixture_items, tmp_path,
@@ -653,9 +658,31 @@ class TestRecordsFile:
         save_records(self.cohort(fixture_items[:1], taxonomy, tagset), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         data = json.loads(lines[1])
-        data.update({"format": 2, **bad_line})
+        data.update({"format": 3, **bad_line})
         lines[1] = json.dumps(data)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_records(path)
+        assert str(info.value).startswith(f"{path}:2: bad record: ")
+        assert reason in str(info.value)
+
+    @pytest.mark.parametrize("change, reason", [
+        (lambda line: line["transcreated_questions"][2].update(stem=5),
+         "stem must be a string, not 5"),
+        (lambda line: line.update(transcreated_passage=["x"]),
+         "transcreated_passage must be a string or null, not ['x']"),
+        (lambda line: line.update(transcreated_passage=None), "a complete record needs"),
+        (lambda line: line.update(transcreated_questions=[]), "a complete record needs"),
+    ])
+    def test_text_the_judge_renders_is_checked_on_load(self, taxonomy, tagset, fixture_items,
+                                                       tmp_path, change, reason):
+        # Found by the exit-code fuzzer: these loaded, then ended judge or
+        # review in a TypeError traceback.
+        path = tmp_path / "records.jsonl"
+        records = self.cohort(fixture_items[:1], taxonomy, tagset)
+        lines = [json.loads(line) for line in v1_rendering(records).decode().splitlines()]
+        change(lines[1])
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
         with pytest.raises(ValidationError) as info:
             load_records(path)
         assert str(info.value).startswith(f"{path}:2: bad record: ")
@@ -673,6 +700,215 @@ class TestRecordsFile:
         path.write_text(good + "[1, 2]\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r":2: bad record: a record must be"):
             load_records(path)
+
+
+class TestQuestionsPayload:
+    def test_equals_indented_json_dumps(self):
+        rng = random.Random(5)
+        alphabet = ['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "🙂", "a", " ", "{x}", "/"]
+        for n in range(8):
+            questions, blooms = [], []
+            for _ in range(n):
+                stem, *options = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+                                  + f"#{k}" for k in range(5)]
+                questions.append(Question(stem, tuple(options), rng.randrange(4)))
+                blooms.append(rng.choice(list(BloomLevel)))
+            expected = json.dumps([{"stem": q.stem, "options": list(q.options),
+                                    "answer": "ABCD"[q.answer_index], "bloom": b.value}
+                                   for q, b in zip(questions, blooms)],
+                                  ensure_ascii=False, indent=2)
+            assert questions_payload(questions, blooms) == expected
+
+
+class TestRecordsFormat3:
+    """Each prompt is stored as its template and bindings: templates and
+    taxonomy or tag-set texts once per file, fields by reference."""
+
+    TARGETS = ("7.a", "8.c", "1.a", "3.d")
+
+    def records(self, items, taxonomy, tagset, students=("s1", "s2"), templates=None):
+        """A mock run with one rejected reply each at steps 2 and 4."""
+        script = build_mock_script(items, repeats=len(students))
+        script["classify_question"].insert(0, "Comprehend")
+        script["transcreate_passage"].insert(0, "A reply without its tags.")
+        pipe = TranscreationPipeline(mock_gateway(script), taxonomy, tagset, templates)
+        return pipe.transcreate_many([Work(item, target, sid, "interest") for sid in students
+                                      for item, target in zip(items, self.TARGETS)])
+
+    @staticmethod
+    def lines(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    def test_texts_once_and_fields_by_reference(self, taxonomy, tagset, fixture_items,
+                                                 tmp_path):
+        records = self.records(fixture_items[:2], taxonomy, tagset)
+        path = tmp_path / "records.jsonl"
+        save_records(records, path)
+        lines = self.lines(path)
+        defined: set[str] = set()
+        for line in lines:
+            new = set(line.get("texts", {}))
+            assert not new & defined  # each text once per file
+            defined |= new
+            for exchanges in line["step_exchanges"].values():
+                for exchange in exchanges:  # every key is defined by now
+                    assert exchange["template"] in defined
+                    assert {b["text"] for b in exchange["bindings"].values()
+                            if isinstance(b, dict) and "text" in b} <= defined
+        texts = {key: text for line in lines for key, text in line.get("texts", {}).items()}
+        assert sorted(t["name"] for t in texts.values() if isinstance(t, dict)) == sorted(
+            STEP_NAMES.values())
+        analysis = lines[0]["step_exchanges"]
+        assert analysis["extract_topic"][0]["bindings"]["passage"] == {"field": "source.passage"}
+        assert texts[analysis["extract_topic"][0]["bindings"]["topic_list"]["text"]].startswith(
+            "1.a: ")
+        rejected, retried = analysis["classify_question"][:2]
+        assert "rejected" not in rejected
+        assert retried["bindings"] == rejected["bindings"] == {
+            "stem": {"field": "source.stem", "question": 0},
+            "options": {"field": "source.options", "question": 0}}
+        assert retried["rejected"]["retry_line"] == STEP_RETRY_LINE
+        assert "Comprehend" in retried["rejected"]["reason"]
+        referring = lines[2]
+        assert referring["same_as"] == "r1:s1"
+        steps = referring["step_exchanges"]
+        assert steps["transcreate_passage"][0]["bindings"]["tagged_passage"] == {
+            "field": "tagged_source"}
+        assert steps["transcreate_questions"][0]["bindings"] == {
+            "passage": {"field": "transcreated_passage"},
+            "questions_json": {"field": "questions_payload"}}
+        loaded = load_records(path)
+        assert loaded == records
+        assert v1_rendering(loaded) == v1_rendering(records)
+        retry = loaded[0].step_exchanges["classify_question"][1]
+        assert retry.user.endswith(f"rejected: {retry.rejected}\n{STEP_RETRY_LINE}")
+        assert path.stat().st_size < len(v2_rendering(records))
+
+    def test_binding_no_field_reproduces_is_written_inline(self, taxonomy, tagset,
+                                                           fixture_items, tmp_path):
+        records = self.records(fixture_items[:1], taxonomy, tagset)
+        asked = records[1].transcreated_passage
+        records[1].transcreated_passage = asked + " Edited later."
+        path = tmp_path / "records.jsonl"
+        save_records(records, path)
+        [exchange] = self.lines(path)[1]["step_exchanges"]["transcreate_questions"]
+        assert exchange["bindings"]["passage"] == asked
+        assert load_records(path) == records
+
+    @pytest.mark.parametrize("source", ["v1", "v2", "v3"])
+    def test_every_format_saves_as_the_same_file(self, taxonomy, tagset, fixture_items,
+                                                 tmp_path, source):
+        records = self.records(fixture_items[:2], taxonomy, tagset)
+        fresh, path = tmp_path / "fresh.jsonl", tmp_path / "in.jsonl"
+        save_records(records, fresh)
+        rendering = {"v1": v1_rendering, "v2": v2_rendering}.get(source)
+        path.write_bytes(rendering(records) if rendering else fresh.read_bytes())
+        loaded = load_records(path)
+        assert loaded == records
+        save_records(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == fresh.read_bytes()
+
+    def test_prompt_of_another_template_is_kept_whole(self, taxonomy, tagset, fixture_items,
+                                                      tmp_path):
+        templates = load_templates()
+        templates["transcreate_passage"] = replace(
+            templates["transcreate_passage"],
+            user_template="Move {tagged_passage} from {source_topic} ({source_description}) "
+                          "to {target_topic} ({target_description}) in {word_count} words.")
+        records = self.records(fixture_items[:1], taxonomy, tagset, templates=templates)
+        v1 = tmp_path / "v1.jsonl"
+        v1.write_bytes(v1_rendering(records))
+        loaded = load_records(v1)
+        first, retry = loaded[0].step_exchanges["transcreate_passage"]
+        assert first.template.user_template == "{prompt}"
+        assert first.bindings == {"prompt": first.user}
+        assert retry.template is first.template and retry.rejected is not None
+        # Prompts of the package templates are still taken apart.
+        assert loaded[0].step_exchanges["extract_topic"][0] == records[0].step_exchanges[
+            "extract_topic"][0]
+        path = tmp_path / "v3.jsonl"
+        save_records(loaded, path)
+        assert v1_rendering(load_records(path)) == v1.read_bytes()
+        kept_whole = [text for line in self.lines(path) for text in line.get("texts", {}).values()
+                      if isinstance(text, dict) and text["user"] == "{prompt}"]
+        assert len(kept_whole) == 1
+        save_records(records, path)  # the other template itself goes in the table
+        assert load_records(path) == records
+
+    def test_siblings_share_the_tagged_passage(self, taxonomy, tagset, fixture_items,
+                                              tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_records(self.records(fixture_items[:1], taxonomy, tagset, ("s1", "s2", "s3")),
+                     path)
+        first, second, third = load_records(path)
+        assert second.tagged_source is first.tagged_source is third.tagged_source
+        lines = path.read_text(encoding="utf-8").splitlines()
+        data = json.loads(lines[2])
+        del data["tagged_source"]["insertions"][1:]
+        lines[2] = json.dumps(data)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        first, second, third = load_records(path)
+        assert second.tagged_source is first.tagged_source
+        assert third.tagged_source.insertions == first.tagged_source.insertions[:1]
+
+    @pytest.mark.parametrize("line_no, mark", [(1, True), (1, "1"), (2, 3.0), (2, 2.0)])
+    def test_format_mark_must_be_an_integer(self, taxonomy, tagset, fixture_items, tmp_path,
+                                            line_no, mark):
+        path = tmp_path / "records.jsonl"
+        save_records(self.records(fixture_items[:1], taxonomy, tagset), path)
+        self.edit(path, line_no, lambda line: line.update(format=mark))
+        with pytest.raises(ValidationError, match=(
+                rf"^{re.escape(str(path))}:{line_no}: bad record: records format must be an "
+                rf"integer, not {re.escape(repr(mark))}$")):
+            load_records(path)
+
+    @staticmethod
+    def edit(path, line_no, change):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        data = json.loads(lines[line_no - 1])
+        change(data)
+        lines[line_no - 1] = json.dumps(data)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @staticmethod
+    def step4(line):
+        return line["step_exchanges"]["transcreate_passage"][-1]
+
+    @pytest.mark.parametrize("line_no, change, reason", [
+        (2, lambda line: TestRecordsFormat3.step4(line).update(template="0123456789abcdef"),
+         "template '0123456789abcdef' is not in the file's text table"),
+        (2, lambda line: TestRecordsFormat3.step4(line)["bindings"].update(
+            source_description={"text": "0123456789abcdef"}),
+         "text '0123456789abcdef' is not in the file's text table"),
+        (2, lambda line: line.update(transcreated_passage=None, status={
+            "state": "failed", "step": 4, "reason": "r", "gateway_failure": False}),
+         "binding 'passage': {'field': 'transcreated_passage'} names no text"),
+        (1, lambda line: line["step_exchanges"]["classify_question"][0]["bindings"]["stem"].update(
+            question=5), "binding 'stem': {'field': 'source.stem', 'question': 5} names no text"),
+        (2, lambda line: TestRecordsFormat3.step4(line)["bindings"].update(word_count=5),
+         "binding 'word_count' must be a string, a text or a field reference"),
+        (2, lambda line: TestRecordsFormat3.step4(line)["bindings"].update(extra="x"),
+         "binding 'extra' matches no placeholder"),
+        (2, lambda line: TestRecordsFormat3.step4(line)["bindings"].pop("word_count"),
+         "missing binding for placeholder {word_count}"),
+        (1, lambda line: line["texts"].update(
+            (key, text + " ") for key, text in list(line["texts"].items()) if isinstance(text, str)),
+         "is not the start of its text's sha256"),
+        (1, lambda line: line.update(texts=["x"]), "texts must be a JSON object"),
+        (1, lambda line: line["step_exchanges"]["classify_question"][1]["rejected"].update(
+            reason=5), "a rejection needs a string reason and retry_line"),
+        (2, lambda line: TestRecordsFormat3.step4(line).update(attempts="1"),
+         "an exchange needs a string response and an integer attempts"),
+    ])
+    def test_bad_line_names_its_line(self, taxonomy, tagset, fixture_items, tmp_path,
+                                     line_no, change, reason):
+        path = tmp_path / "records.jsonl"
+        save_records(self.records(fixture_items[:1], taxonomy, tagset), path)
+        self.edit(path, line_no, change)
+        with pytest.raises(ValidationError) as info:
+            load_records(path)
+        assert str(info.value).startswith(f"{path}:{line_no}: bad record: ")
+        assert reason in str(info.value)
 
 
 class TestAssignTopics:
