@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Any, Sequence
 
 from . import corpus, pipeline, stats, textmetrics, validation
 from .errors import GatewayError, TranscreateError, ValidationError
-from .fileio import MalformedLineError, atomic_write_text, read_json
+from .fileio import MalformedLineError, atomic_write_text, indented_json, read_json
 from .gateway import DEFAULT_BACKOFF_BASE_S, Gateway, HttpBackend, MockBackend, ProviderConfig
 
 EXIT_OK = 0
@@ -118,7 +117,7 @@ class RunConfig:
 
 
 def _emit(payload: Any, out_path: str | None) -> None:
-    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    text = indented_json(payload) + "\n"
     if out_path:
         atomic_write_text(out_path, text)
     else:

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Protocol, TextIO
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
@@ -493,7 +494,13 @@ class Gateway:
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.log_path = Path(log_path) if log_path else None
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        # One token per request allowed in flight: a C queue, cheaper to take
+        # from and give back than a semaphore.
+        self._slots: SimpleQueue[None] = SimpleQueue()
+        for _ in range(max_in_flight):
+            self._slots.put(None)
         self._rng = random.Random(rng_seed)
         self._rng_lock = threading.Lock()
         self._log_lock = threading.Lock()
@@ -535,9 +542,12 @@ class Gateway:
         # would hold this frame, a cycle left for the collector.
         for attempt in range(self.max_retries + 1):
             try:
-                # Held for the send only, never across a backoff sleep.
-                with self._slots:
+                # A token is held for the send only, never across a backoff sleep.
+                self._slots.get()
+                try:
                     text = self.backend.send(request, step)
+                finally:
+                    self._slots.put(None)
             except GatewayError as exc:
                 if _is_transient(exc) and attempt < self.max_retries:
                     delay = self._backoff(attempt)

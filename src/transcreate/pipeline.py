@@ -28,7 +28,7 @@ from .corpus import (
     UnknownTopicError,
 )
 from .errors import GatewayError, ValidationError
-from .fileio import MalformedLineError, read_jsonl, write_jsonl
+from .fileio import MalformedLineError, indented_json, read_jsonl, write_jsonl
 from .gateway import (
     CompletionRequest,
     Gateway,
@@ -829,25 +829,15 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
     return load_prompt_dir(directory or default_prompt_dir())
 
 
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
-
-
 def questions_payload(source_questions: Sequence[Question], blooms: Sequence[BloomLevel]) -> str:
-    """The source questions with their levels, as the step 5 prompt shows them.
-
-    The text is ``json.dumps(payload, ensure_ascii=False, indent=2)`` of one
-    ``{"stem", "options", "answer", "bloom"}`` object per question, written
-    here directly because ``json`` encodes an indented document in pure
-    Python, several times slower; each string is still encoded by ``json``.
-    """
-    entries = [
-        '  {\n    "stem": ' + _json_string(q.stem)
-        + ',\n    "options": [\n      ' + ",\n      ".join(map(_json_string, q.options))
-        + '\n    ],\n    "answer": ' + _json_string("ABCD"[q.answer_index])
-        + ',\n    "bloom": ' + _json_string(bloom.value) + "\n  }"
+    """The source questions with their levels, as the step 5 prompt shows them:
+    ``json.dumps(payload, ensure_ascii=False, indent=2)`` of one
+    ``{"stem", "options", "answer", "bloom"}`` object per question."""
+    return indented_json([
+        {"stem": q.stem, "options": q.options, "answer": "ABCD"[q.answer_index],
+         "bloom": bloom.value}
         for q, bloom in zip(source_questions, blooms)
-    ]
-    return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
+    ])
 
 
 @dataclass
@@ -1072,7 +1062,7 @@ class TranscreationPipeline:
                 )
             questions = []
             for idx, entry in enumerate(data):
-                if not isinstance(entry, Mapping):
+                if not isinstance(entry, dict):
                     raise StructureViolationError(idx, "question must be a JSON object")
                 options = entry.get("options")
                 if not isinstance(options, list) or len(options) != 4:
@@ -1082,14 +1072,10 @@ class TranscreationPipeline:
                 if answer not in ("A", "B", "C", "D"):
                     raise StructureViolationError(idx, f"answer out of range: {answer!r}")
                 try:
-                    questions.append(
-                        Question(
-                            stem=str(entry.get("stem", "")),
-                            options=tuple(str(opt) for opt in options),
-                            answer_index="ABCD".index(answer),
-                            bloom=blooms[idx],
-                        )
-                    )
+                    questions.append(Question.checked(
+                        str(entry.get("stem", "")), tuple(map(str, options)),
+                        "ABCD".index(answer), blooms[idx],
+                    ))
                 except ValueError as exc:
                     raise StructureViolationError(idx, str(exc)) from exc
             return tuple(questions)

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from .corpus import BloomLevel
 from .errors import GatewayError, ValidationError
-from .fileio import atomic_write_text, read_json
+from .fileio import atomic_write_text, indented_json, read_json
 from .gateway import Gateway, PromptTemplate
 from .pipeline import (
     DEFAULT_RETRY_BUDGET,
@@ -440,10 +440,10 @@ class ReviewQueue:
         for record_id, entry in self.entries.items():
             text = self._entry_json.get(record_id)
             if text is None:
-                text = self._entry_json[record_id] = _nested_json(entry.to_dict())
+                text = self._entry_json[record_id] = indented_json(entry.to_dict(), depth=2)
             entries.append(text)
         for decision in self.log[len(self._log_json):]:
-            self._log_json.append(_nested_json(decision.to_dict()))
+            self._log_json.append(indented_json(decision.to_dict(), depth=2))
         atomic_write_text(
             self.path,
             '{\n  "entries": ' + _json_list(entries)
@@ -493,17 +493,8 @@ class ReviewQueue:
         return fresh
 
 
-def _nested_json(obj: Any) -> str:
-    """``obj`` as ``json.dumps(..., indent=2)`` prints it two levels deep in a document.
-
-    Encoded JSON strings hold no raw newline, so every newline is a line
-    break of the layout and indenting after each one is exact.
-    """
-    return json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n    ")
-
-
 def _json_list(items: Sequence[str]) -> str:
-    """A list of fragments from ``_nested_json`` as a value one level deep."""
+    """A list of objects encoded two levels deep as a value one level deep."""
     if not items:
         return "[]"
     return "[\n    " + ",\n    ".join(items) + "\n  ]"

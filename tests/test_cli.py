@@ -694,6 +694,78 @@ class TestInputFiles:
         assert not (workdir / "result.out").exists()
 
 
+class TestQuestionShape:
+    """A question's options must be a JSON array and its answer_index an integer:
+    a string or an object is not four options, and true is not 1."""
+
+    CASES = [
+        ({"options": "abcd"}, "options must be a list of 4 strings, not 'abcd'"),
+        ({"options": {"a": 1, "b": 2, "c": 3, "d": 4}}, "options must be a list of 4 strings"),
+        ({"answer_index": True}, "answer_index must be an integer, not True"),
+    ]
+
+    @staticmethod
+    def break_line(path, line_no, change, questions):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        data = json.loads(lines[line_no - 1])
+        data[questions][0].update(change)
+        lines[line_no - 1] = json.dumps(data)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("change, message", CASES, ids=["string", "object", "boolean"])
+    @pytest.mark.parametrize("command", ["ingest", "score", "judge"])
+    def test_refused_naming_the_line(self, workdir, capsys, command, change, message):
+        path = workdir / "bad-input"
+        if command == "judge":
+            assert run(transcreate_argv(workdir)) == 0
+            path.write_bytes((workdir / "out.jsonl").read_bytes())
+            self.break_line(path, 2, change, "transcreated_questions")
+        else:
+            path.write_bytes((workdir / "items.jsonl").read_bytes())
+            self.break_line(path, 2, change, "questions")
+        argv = file_flag_argv(workdir, command, "--key" if command == "score" else "--in", path)
+        capsys.readouterr()
+        assert run(argv) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert f"{path}:2: " in line and message in line
+        assert not (workdir / "result.out").exists()
+
+
+class TestLoadChecksBeforeAnyCall:
+    """A records file whose line k is bad is refused while it loads: the judge
+    makes no call and review opens no queue."""
+
+    CASES = [
+        (lambda line: line["step_exchanges"]["transcreate_questions"][0]["bindings"].update(
+            passage={"field": "no.such.field"}), "no.such.field"),
+        (lambda line: line["step_exchanges"]["transcreate_passage"][0]["bindings"].update(
+            source_description={"text": "0123456789abcdef"}), "0123456789abcdef"),
+        (lambda line: line["transcreated_questions"][1].update(stem=5),
+         "stem must be a string, not 5"),
+    ]
+
+    @pytest.mark.parametrize("change, message", CASES,
+                             ids=["field reference", "text key", "stem"])
+    def test_refused_at_load(self, workdir, capsys, change, message):
+        assert run(transcreate_argv(workdir)) == 0
+        path = workdir / "out.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        data = json.loads(lines[2])
+        change(data)
+        lines[2] = json.dumps(data)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        script = workdir / "judge_script.json"
+        script.write_text(json.dumps({"judge_bloom": []}), encoding="utf-8")
+        out, queue = workdir / "verdicts.json", workdir / "queue.json"
+        for argv in (["judge", "--in", path, "--mock", script, "--out", out],
+                     ["review", "--in", path, "--queue", queue, "--open-only"]):
+            capsys.readouterr()
+            assert run(argv) == 3
+            [line] = capsys.readouterr().err.splitlines()
+            assert f"{path}:3: bad record: " in line and message in line
+        assert not out.exists() and not queue.exists()
+
+
 class TestGoldenDigests:
     """Mock outputs are pinned byte for byte: records, judge JSON, request log.
 

@@ -316,6 +316,25 @@ class TestConcurrencyCap:
         assert elapsed < 0.1
 
 
+    def test_a_send_that_raises_gives_its_slot_back(self):
+        class Crashes:
+            def send(self, req, step):
+                if req.user == "boom":
+                    raise RuntimeError("backend bug")
+                return req.user
+
+        gateway = Gateway(Crashes(), max_in_flight=1, backoff_base_s=0)
+        for _ in range(3):
+            with pytest.raises(RuntimeError):
+                gateway.complete_ex(request("boom"))
+        assert gateway.complete_ex(request("ok")).text == "ok"
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+            Gateway(SlowBackend(), max_in_flight=cap)
+
+
 def http_backend(url, monkeypatch, **settings):
     monkeypatch.setenv("TEST_KEY", "secret")
     return HttpBackend(ProviderConfig(endpoint=url, api_key_env="TEST_KEY", **settings))
