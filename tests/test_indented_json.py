@@ -8,6 +8,7 @@ have no pytest.
 
 from __future__ import annotations
 
+import enum
 import importlib.util
 import json
 import math
@@ -35,6 +36,14 @@ KEYS = [0, -3, 2.5, math.nan, math.inf, -math.inf, True, False, None]
 
 class Sub(dict):
     pass
+
+
+class Text(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    ONE = 1
 
 
 def oracle(obj, depth=0):
@@ -96,6 +105,9 @@ def test_shapes_named_one_by_one():
         [{"s": "},\n    {"}, {"s": '"}'}], {1: "int", 2.5: "float", True: "bool", None: "none"},
         {math.nan: 1, math.inf: [2], -math.inf: {"x": 3}}, ["\n", "}", "},\n", "é🙂"],
         OrderedDict([("b", 1), ("a", [flat])]), Sub(a=Sub(b=[Sub(), ()])),
+        # Subclasses of scalars leave the C fast paths but not the format.
+        {Text("k"): Text("}"), Level.ONE: Level.ONE, 1.5: 2.5}, [Text("v"), Level.ONE],
+        [{"a": Text("x")}, {"b": Level.ONE}], {"a": [Text("},\n"), {Level.ONE: [Text("")]}]},
     ]
     for case in cases:
         for depth in range(4):
