@@ -82,35 +82,45 @@ class BloomLevel(Enum):
 _BLOOM_BY_FOLDED_NAME = {level.value.casefold(): level for level in BloomLevel}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Question:
-    """One multiple-choice question: a stem, exactly four options, one answer."""
+    """One multiple-choice question: a stem, exactly four options, one answer.
+
+    Options must be a list or tuple of 4 strings, distinct once trimmed, and
+    ``answer_index`` an integer in 0..3; a string, an object or a boolean
+    is not taken for one.
+    """
 
     stem: str
     options: tuple[str, str, str, str]
     answer_index: int
     bloom: BloomLevel | None = None
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "options", _checked_options(self.stem, self.options, self.answer_index))
-
-    @classmethod
-    def checked(cls, stem: Any, options: Any, answer_index: Any,
-                bloom: BloomLevel | None = None) -> "Question":
-        """The question the constructor builds, with the same checks, built cheaply.
-
-        Loaders and the step 5 parser build thousands of questions; this
-        skips the calls of the dataclass ``__init__`` and ``__post_init__``.
-        """
-        options = _checked_options(stem, options, answer_index)
-        question = object.__new__(cls)
+    def __init__(self, stem: str, options: tuple[str, str, str, str] | list[str],
+                 answer_index: int, bloom: BloomLevel | None = None):
+        if not isinstance(stem, str):
+            raise ValueError(f"stem must be a string, not {stem!r}")
+        if type(options) is not tuple:
+            if type(options) is not list:
+                raise ValueError(f"options must be a list of 4 strings, not {options!r}")
+            options = tuple(options)
+        if len(options) != 4:
+            raise ValueError(f"expected 4 options, got {len(options)}")
+        try:
+            distinct = len(set(map(str.strip, options)))
+        except TypeError:
+            raise ValueError(f"options must be strings, not {options!r}") from None
+        if distinct != 4:
+            raise ValueError("duplicate options")
+        if type(answer_index) is not int:
+            raise ValueError(f"answer_index must be an integer, not {answer_index!r}")
+        if not 0 <= answer_index <= 3:
+            raise ValueError(f"answer_index out of range: {answer_index!r}")
         setattr_ = object.__setattr__
-        setattr_(question, "stem", stem)
-        setattr_(question, "options", options)
-        setattr_(question, "answer_index", answer_index)
-        setattr_(question, "bloom", bloom)
-        return question
+        setattr_(self, "stem", stem)
+        setattr_(self, "options", options)
+        setattr_(self, "answer_index", answer_index)
+        setattr_(self, "bloom", bloom)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -125,36 +135,8 @@ class Question:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Question":
         bloom = data.get("bloom")
-        return cls.checked(data["stem"], data["options"], data["answer_index"],
-                           BloomLevel.parse(bloom) if bloom is not None else None)
-
-
-def _checked_options(stem: Any, options: Any, answer_index: Any) -> tuple[str, ...]:
-    """A question's options as a tuple, once its fields pass the question's checks.
-
-    Options must be a list or tuple of 4 strings, distinct once trimmed, and
-    ``answer_index`` an integer in 0..3; a string, an object or a boolean
-    is not taken for one.
-    """
-    if not isinstance(stem, str):
-        raise ValueError(f"stem must be a string, not {stem!r}")
-    if type(options) is not tuple:
-        if type(options) is not list:
-            raise ValueError(f"options must be a list of 4 strings, not {options!r}")
-        options = tuple(options)
-    if len(options) != 4:
-        raise ValueError(f"expected 4 options, got {len(options)}")
-    try:
-        distinct = len(set(map(str.strip, options)))
-    except TypeError:
-        raise ValueError(f"options must be strings, not {options!r}") from None
-    if distinct != 4:
-        raise ValueError("duplicate options")
-    if type(answer_index) is not int:
-        raise ValueError(f"answer_index must be an integer, not {answer_index!r}")
-    if not 0 <= answer_index <= 3:
-        raise ValueError(f"answer_index out of range: {answer_index!r}")
-    return options
+        return cls(data["stem"], data["options"], data["answer_index"],
+                   BloomLevel.parse(bloom) if bloom is not None else None)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import os
 import tempfile
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring  # type: ignore[attr-defined]
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
@@ -67,7 +66,6 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
 
 _INDENT = "  "
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_DICT = frozenset({dict})
 _raise_unencodable = json.JSONEncoder().default
 
 
@@ -87,11 +85,11 @@ def indented_json(obj: Any, depth: int = 0) -> str:
     """``json.dumps(obj, ensure_ascii=False, indent=2)``, byte for byte, at C speed.
 
     ``json`` encodes an indented document in pure Python. Here every
-    container whose values are all scalars, and every list of such objects,
-    is encoded by one call of the C encoder; only the containers above them
-    are walked in Python. ``depth`` > 0 gives the text as it would appear
-    nested ``depth`` levels deep in a larger document: every line after the
-    first is indented by ``2 * depth`` more spaces.
+    container whose values are all scalars is encoded by one call of the C
+    encoder; only the containers above them are walked in Python.
+    ``depth`` > 0 gives the text as it would appear nested ``depth`` levels
+    deep in a larger document: every line after the first is indented by
+    ``2 * depth`` more spaces.
     """
     return _encode(obj, depth, set())
 
@@ -109,22 +107,11 @@ def _encode(obj: Any, depth: int, markers: set[int]) -> str:
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     outer, inner = _INDENT * depth, _INDENT * (depth + 1)
-    if kind is dict or kind is list or kind is tuple:
-        if _SCALARS.issuperset(map(type, values)):
-            # The encoder's line breaks hold only between items: add the two
-            # around them.
-            text = "".join(_flat_encoder(depth + 1)(obj, 0))
-            return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-        if kind is not dict and _DICT.issuperset(map(type, obj)) and all(obj) and (
-                _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
-            # A list of non-empty flat objects in one call. The encoder puts
-            # the same separator between objects as between their items; an
-            # encoded string holds no raw newline, so "}" + separator + "{"
-            # occurs only between two objects.
-            nested = _INDENT * (depth + 2)
-            text = "".join(_flat_encoder(depth + 2)(obj, 0))
-            body = text[2:-2].replace(f"}},\n{nested}{{", f"\n{inner}}},\n{inner}{{\n{nested}")
-            return f"[\n{inner}{{\n{nested}{body}\n{inner}}}\n{outer}]"
+    if (kind is dict or kind is list or kind is tuple) and _SCALARS.issuperset(map(type, values)):
+        # The encoder's line breaks hold only between items: add the two
+        # around them.
+        text = "".join(_flat_encoder(depth + 1)(obj, 0))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
     marker = id(obj)
     if marker in markers:
         raise ValueError("Circular reference detected")

@@ -1072,7 +1072,7 @@ class TranscreationPipeline:
                 if answer not in ("A", "B", "C", "D"):
                     raise StructureViolationError(idx, f"answer out of range: {answer!r}")
                 try:
-                    questions.append(Question.checked(
+                    questions.append(Question(
                         str(entry.get("stem", "")), tuple(map(str, options)),
                         "ABCD".index(answer), blooms[idx],
                     ))
